@@ -1,7 +1,7 @@
 """Exact Grothendieck-ring classes for compactified moduli of abelian covers
 of marked genus-zero curves, computed two independent ways and compared."""
 
-from .calculator import Calculator, VerificationReport, build_report, get_calculator
+from .calculator import Calculator, VerificationReport, build_report
 from .groups import (
     ClassInvolution,
     ConjugacyTable,

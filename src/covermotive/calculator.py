@@ -13,6 +13,16 @@ a marking tuple is a product of the marked-point moduli with a finite set of
 monodromy tuples, and vertex admissibility needs no ordering of the flags.
 Nonabelian input is rejected up front.
 
+Abelian monodromy also makes the stratification sum collapse.  Once the leaf
+classes are chosen, each edge mark is forced to the product of the leaf marks
+below it, and every vertex away from the root then multiplies to the identity
+by construction.  Only the root condition can fail: the leaf marks must
+multiply to the identity.  So the sweep lists the product-one leaf tuples
+once and sums the strata over topologies once, grouped by valence profile.
+The brute-force sweep in tests/test_calculator.py marks every edge freely
+and checks every vertex (trees.gerby_markings, trees.is_admissible); it is
+the oracle for this shortcut.
+
 Tail tables are built strictly bottom-up: the degree-n comparison consumes
 stratification values only in degrees below n, so each level of the ladder
 tests the recursion against independently computed lower levels.
@@ -20,8 +30,8 @@ tests the recursion against independently computed lower levels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NegativeCoefficient, UnsupportedNonabelian
 from .groups import FiniteGroup, class_involution, conjugacy_classes
@@ -40,82 +50,6 @@ from .smodules import (
 from .trees import NTree, enumerate_stable_trees, stratum_class_of_topology
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Precomputed combinatorics of one stable tree, for fast marking sweeps."""
-
-    ntree: NTree
-    valences: tuple[int, ...]
-    stratum: MotivePoly
-    # Per edge: labels in the subtree hanging below the edge (away from leaf 1).
-    edge_subtrees: tuple[tuple[int, ...], ...]
-    # Per vertex: direct leaf labels and (edge index, below_side) incidences.
-    vertex_leaves: tuple[tuple[int, ...], ...]
-    vertex_edges: tuple[tuple[tuple[int, bool], ...], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.valences)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_subtrees)
-
-
-def _analyze(nt: NTree) -> Topology:
-    tree = nt.tree
-    v = tree.vertex_count
-    valences = tuple(tree.valence(u) for u in range(v))
-    root = tree.vertex_of[nt.leaf_of_label(1)]
-
-    # Orient each edge away from the root and collect subtree label sets.
-    edges = tree.edges()
-    adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in range(v)}
-    for e, (a, b) in enumerate(edges):
-        adjacency[tree.vertex_of[a]].append((e, tree.vertex_of[b]))
-        adjacency[tree.vertex_of[b]].append((e, tree.vertex_of[a]))
-
-    parent_edge: dict[int, int] = {}
-    order = [root]
-    seen = {root}
-    for u in order:
-        for e, other in adjacency[u]:
-            if other not in seen:
-                seen.add(other)
-                parent_edge[other] = e
-                order.append(other)
-
-    below: list[set[int]] = [set() for _ in edges]
-    vertex_labels = [
-        tuple(nt.labels[f] for f in tree.flags_at(u) if tree.j[f] == f) for u in range(v)
-    ]
-    for u in reversed(order):
-        if u == root:
-            continue
-        e = parent_edge[u]
-        below[e].update(vertex_labels[u])
-        for e2, other in adjacency[u]:
-            if e2 != e and parent_edge.get(other) == e2:
-                below[e].update(below[e2])
-
-    vertex_edges = []
-    for u in range(v):
-        inc = []
-        for e, other in adjacency[u]:
-            # True when u is the lower endpoint (away from the root).
-            inc.append((e, parent_edge.get(u) == e))
-        vertex_edges.append(tuple(sorted(set(inc))))
-
-    return Topology(
-        ntree=nt,
-        valences=valences,
-        stratum=stratum_class_of_topology(valences),
-        edge_subtrees=tuple(tuple(sorted(s)) for s in below),
-        vertex_leaves=tuple(vertex_labels),
-        vertex_edges=tuple(vertex_edges),
-    )
-
-
 @dataclass
 class StrataSweep:
     """Everything one pass over the admissible markings of degree n yields."""
@@ -128,7 +62,6 @@ class StrataSweep:
     inner_flag_weighted: MotivePoly
     topology_count: int
     admissible_count: int
-    per_topology_admissible: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -158,87 +91,59 @@ class Calculator:
         self.conj = conjugacy_classes(group)
         self.iota = class_involution(group)
         self.tree_cap = tree_cap
-        self._topologies: dict[int, list[Topology]] = {}
+        self._topologies: dict[int, list[NTree]] = {}
         self._sweeps: dict[int, StrataSweep] = {}
         self._terms: dict[int, tuple[MotivePoly, MotivePoly, MotivePoly]] = {}
 
     # ---- stratification route ----
 
-    def topologies(self, n: int) -> list[Topology]:
+    def topologies(self, n: int) -> list[NTree]:
         if n not in self._topologies:
-            self._topologies[n] = [_analyze(nt) for nt in enumerate_stable_trees(n, self.tree_cap)]
+            self._topologies[n] = enumerate_stable_trees(n, self.tree_cap)
         return self._topologies[n]
 
     def sweep(self, n: int) -> StrataSweep:
         """Sum stratum classes over every admissible marking of every topology.
 
-        For each topology and each tuple of leaf classes, the edge marks are
-        forced: the class below an edge must invert the sum of the leaf
-        classes behind it.  The per-vertex identity check then decides
-        admissibility; nothing about the total sum is assumed.
+        With the edge marks forced by the leaf marks below them, only the
+        root condition can fail, so every topology admits exactly the leaf
+        tuples whose marks multiply to the identity, and each such tuple
+        gets the same class: the sum of the strata over all topologies.
+        test_sweep_matches_brute_force is the oracle for this.
         """
         if n in self._sweeps:
             return self._sweeps[n]
-        group, conj = self.group, self.conj
-        reps = conj.representatives
-        identity = group.identity
-        mul = group.mul
-        inv = group.inv
-        ncls = conj.count
+        group, reps = self.group, self.conj.representatives
+        markings = []
+        for cvec in _class_tuples(self.conj.count, n):
+            acc = group.identity
+            for c in cvec:
+                acc = group.mul(acc, reps[c])
+            if acc == group.identity:
+                markings.append(cvec)
 
-        per_marking: dict[tuple[int, ...], MotivePoly] = {}
-        total = ZERO
-        v_w = ZERO
-        e_w = ZERO
-        f_w = ZERO
-        per_topology_admissible = []
-        admissible_count = 0
+        trees = self.topologies(n)
+        profiles = Counter(
+            tuple(sorted(nt.tree.valence(u) for u in range(nt.tree.vertex_count)))
+            for nt in trees
+        )
+        strata = v_w = e_w = ZERO
+        for valences, count in profiles.items():
+            contrib = stratum_class_of_topology(valences).scale(count)
+            strata = strata + contrib
+            v_w = v_w + contrib.scale(len(valences))
+            e_w = e_w + contrib.scale(len(valences) - 1)
 
-        markings = list(_class_tuples(ncls, n))
-        for topo in self.topologies(n):
-            hits = 0
-            stratum = topo.stratum
-            n_edges = topo.edge_count
-            n_vertices = topo.vertex_count
-            for cvec in markings:
-                esum = []
-                for labels in topo.edge_subtrees:
-                    acc = identity
-                    for lbl in labels:
-                        acc = mul(acc, reps[cvec[lbl - 1]])
-                    esum.append(acc)
-                ok = True
-                for u in range(n_vertices):
-                    acc = identity
-                    for lbl in topo.vertex_leaves[u]:
-                        acc = mul(acc, reps[cvec[lbl - 1]])
-                    for e, below_side in topo.vertex_edges[u]:
-                        acc = mul(acc, inv(esum[e]) if below_side else esum[e])
-                    if acc != identity:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                hits += 1
-                prev = per_marking.get(cvec, ZERO)
-                per_marking[cvec] = prev + stratum
-            per_topology_admissible.append(hits)
-            admissible_count += hits
-            contrib = stratum.scale(hits)
-            total = total + contrib
-            v_w = v_w + contrib.scale(n_vertices)
-            e_w = e_w + contrib.scale(n_edges)
-            f_w = f_w + contrib.scale(2 * n_edges)  # flags minus leaves
+        hits = len(markings)
         sweep = StrataSweep(
             n=n,
-            per_marking=per_marking,
-            total=total,
-            vertex_weighted=v_w,
-            edge_weighted=e_w,
-            inner_flag_weighted=f_w,
-            topology_count=len(self.topologies(n)),
-            admissible_count=admissible_count,
-            per_topology_admissible=tuple(per_topology_admissible),
+            per_marking=dict.fromkeys(markings, strata),
+            total=strata.scale(hits),
+            vertex_weighted=v_w.scale(hits),
+            edge_weighted=e_w.scale(hits),
+            inner_flag_weighted=e_w.scale(2 * hits),  # flags minus leaves
+            topology_count=len(trees),
+            admissible_count=hits * len(trees),
         )
         self._sweeps[n] = sweep
         return sweep
@@ -264,25 +169,6 @@ class Calculator:
         for cvec in _class_tuples(self.conj.count, n):
             acc = acc + self.class_b_open_marked(cvec)
         return acc
-
-    # ---- tail tables ----
-
-    def tail(self, k: int, c: int) -> MotivePoly:
-        """Sum of degree-(k+1) classes over markings with last entry c."""
-        if k < 2:
-            return ZERO
-        acc = ZERO
-        for cvec, cls in sorted(self.sweep(k + 1).per_marking.items()):
-            if cvec[-1] == c:
-                acc = acc + cls
-        return acc
-
-    def tail_table(self, n: int) -> dict[tuple[int, int], MotivePoly]:
-        return {
-            (k, c): self.tail(k, c)
-            for k in range(1, n - 1)
-            for c in range(self.conj.count)
-        }
 
     # ---- recursion route ----
 
@@ -385,8 +271,8 @@ class Calculator:
 
     def euler_identity_check(self, n: int) -> bool:
         """Per tree: 1 + (#flags - #leaves) = #vertices + #edges."""
-        for topo in self.topologies(n):
-            tree = topo.ntree.tree
+        for nt in self.topologies(n):
+            tree = nt.tree
             flags = tree.flag_count
             leaves = len(tree.leaves())
             if 1 + (flags - leaves) != tree.vertex_count + len(tree.edges()):
@@ -402,11 +288,6 @@ def _class_tuples(ncls: int, n: int):
     for head in _class_tuples(ncls, n - 1):
         for c in range(ncls):
             yield head + (c,)
-
-
-@lru_cache(maxsize=None)
-def get_calculator(group: FiniteGroup) -> Calculator:
-    return Calculator(group)
 
 
 @dataclass
@@ -441,8 +322,8 @@ def build_report(
     sweep = calc.sweep(n)
     ncls = calc.conj.count
     gerby_total = 0
-    for topo in calc.topologies(n):
-        gerby_total += ncls ** (n + topo.edge_count)
+    for nt in calc.topologies(n):
+        gerby_total += ncls ** (n + len(nt.tree.edges()))
     census = {
         "topologies": sweep.topology_count,
         "gerby_trees": gerby_total,

@@ -10,8 +10,7 @@ Subcommands:
 
 Groups are given either as --builtin strings (cyclic:3, product_cyclic:2,2,
 dihedral:4, symmetric:3) or as a JSON spec file via --group-file.  All output
-is byte-deterministic for a fixed input; --jobs only sizes the worker pool
-used for marking sweeps and never changes bytes.  The environment variable
+is byte-deterministic for a fixed input.  The environment variable
 COVERMOTIVE_CAP overrides the enumeration caps.
 
 Exit codes: 0 success (and verified equality for verify), 1 verification
@@ -25,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .calculator import Calculator, build_report
@@ -40,7 +38,13 @@ from .errors import (
 from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
 from .hurwitz import braid_orbits, enumerate_hurwitz
 from .motives import format_poly
-from .trees import enumerate_stable_trees, export_dot, gerby_markings, is_admissible
+from .trees import (
+    DEFAULT_MARKING_CAP,
+    enumerate_stable_trees,
+    export_dot,
+    gerby_markings,
+    is_admissible,
+)
 
 SCHEMA_VERSION = 1
 
@@ -160,7 +164,7 @@ def cmd_trees(args) -> int:
             "edges": len(tree.edges()),
         }
         if group is not None:
-            marked = gerby_markings(nt, group, cap=_cap_override(2_000_000))
+            marked = gerby_markings(nt, group, cap=_cap_override(DEFAULT_MARKING_CAP))
             admissible = sum(1 for gt in marked if is_admissible(group, gt))
             row["gerby"] = len(marked)
             row["admissible"] = admissible
@@ -196,11 +200,25 @@ def _parse_marking(text: str, n: int) -> tuple[int, ...]:
     return marking
 
 
-def cmd_class(args) -> int:
+def _calculator(args) -> Calculator:
+    """Load the group and refuse degrees whose class tuples exceed the marking cap.
+
+    Both routes enumerate every class tuple of each degree up to n, so the
+    check bounds all of their enumerations before any of them starts.
+    """
     group = _load_group(args)
-    calc = Calculator(group, tree_cap=_cap_override(9))
+    ncls = conjugacy_classes(group).count
+    cap = _cap_override(DEFAULT_MARKING_CAP)
+    # ncls ** cap.bit_length() > cap whenever ncls > 1, so the clamped power
+    # decides the same way without building a huge integer.
+    if ncls ** min(args.n, cap.bit_length()) > cap:
+        raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {cap}")
+    return Calculator(group, tree_cap=_cap_override(9))
+
+
+def cmd_class(args) -> int:
+    calc = _calculator(args)
     marking = _parse_marking(args.marking, args.n) if args.marking else None
-    _warm_sweeps(calc, args.n, args.jobs)
     report = build_report(
         calc,
         args.n,
@@ -226,25 +244,8 @@ def cmd_class(args) -> int:
     return 0
 
 
-def _warm_sweeps(calc: Calculator, n: int, jobs: int) -> None:
-    """Precompute marking sweeps, optionally on a sized worker pool.
-
-    Sweeps for distinct degrees are independent; results are cached on the
-    calculator keyed by degree, so the schedule cannot affect any output.
-    """
-    degrees = list(range(3, n + 1))
-    if jobs <= 1:
-        for k in degrees:
-            calc.sweep(k)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(calc.sweep, degrees))
-
-
 def cmd_verify(args) -> int:
-    group = _load_group(args)
-    calc = Calculator(group, tree_cap=_cap_override(9))
-    _warm_sweeps(calc, args.n, args.jobs)
+    calc = _calculator(args)
     report = calc.verify_main_theorem(args.n)
     ok = report.equal
     print(f"{report.group_name}, n = {report.n}")
@@ -310,14 +311,12 @@ def make_parser() -> argparse.ArgumentParser:
     p_class.add_argument("--per-marking", action="store_true")
     p_class.add_argument("--with-verification", action="store_true")
     p_class.add_argument("--format", choices=("json", "text"), default="json")
-    p_class.add_argument("--jobs", type=int, default=1)
     p_class.set_defaults(func=cmd_class)
 
     p_verify = sub.add_parser("verify", help="stratification against recursion")
     add_group_args(p_verify)
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--all-props", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_hurwitz = sub.add_parser("hurwitz", help="product-one tuples and braid orbits")
@@ -333,9 +332,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (MalformedSpec, NotAGroup) as exc:

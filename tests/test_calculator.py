@@ -4,17 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from covermotive.calculator import Calculator, build_report, get_calculator
+from covermotive.calculator import Calculator, build_report
 from covermotive.errors import UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
 from covermotive.smodules import Atom
+from covermotive.trees import (
+    enumerate_stable_trees,
+    gerby_markings,
+    is_admissible,
+    stratum_class,
+    stratum_class_of_topology,
+)
 
 TRIVIAL = MotivePoly.of  # shorthand for expected values
 
+_CALCULATORS: dict[str, Calculator] = {}
+
 
 def _calc(group) -> Calculator:
-    return get_calculator(group)
+    if group.name not in _CALCULATORS:
+        _CALCULATORS[group.name] = Calculator(group)
+    return _CALCULATORS[group.name]
 
 
 def test_rejects_nonabelian():
@@ -90,14 +101,24 @@ def test_open_class():
     assert calc.class_b_open_marked((1, 0, 0, 0)) == ZERO
 
 
+def _tail(calc: Calculator, n: int, k: int, c: int) -> MotivePoly:
+    """Degree-k tails of dbar_module(n) rooted at class c, summed."""
+    acc = ZERO
+    for atom in calc.dbar_module(n).part(k):
+        if atom.attach == (calc.iota(c),):
+            acc = acc + atom.cls.scale(atom.weight)
+    return acc
+
+
 def test_tails():
     calc = _calc(build_cyclic(2))
-    assert calc.tail(1, 0) == ZERO
-    assert calc.tail(2, 0) == TRIVIAL([2])
-    assert calc.tail(2, 1) == TRIVIAL([2])
-    assert calc.tail(3, 0) == TRIVIAL([4, 4])
+    assert _tail(calc, 5, 1, 0) == ZERO
+    assert _tail(calc, 5, 2, 0) == TRIVIAL([2])
+    assert _tail(calc, 5, 2, 1) == TRIVIAL([2])
+    assert _tail(calc, 5, 3, 0) == TRIVIAL([4, 4])
     trivial = _calc(build_cyclic(1))
-    assert trivial.tail_table(4) == {(1, 0): ZERO, (2, 0): ONE}
+    assert _tail(trivial, 4, 1, 0) == ZERO
+    assert _tail(trivial, 4, 2, 0) == ONE
 
 
 def test_modules_shape():
@@ -149,18 +170,66 @@ def test_refinement_matches_per_marking():
 
 
 def test_topology_analysis():
-    calc = _calc(build_cyclic(2))
-    topos = calc.topologies(4)
+    topos = _calc(build_cyclic(2)).topologies(4)
     assert len(topos) == 4
-    assert [t.vertex_count for t in topos] == [1, 2, 2, 2]
-    assert [t.edge_count for t in topos] == [0, 1, 1, 1]
+    assert [nt.tree.vertex_count for nt in topos] == [1, 2, 2, 2]
+    assert [len(nt.tree.edges()) for nt in topos] == [0, 1, 1, 1]
+    valences = [tuple(nt.tree.valence(u) for u in range(nt.tree.vertex_count)) for nt in topos]
+    assert valences == [(4,), (3, 3), (3, 3), (3, 3)]
     # The one-vertex topology carries the open moduli class of four points.
-    assert topos[0].stratum == TRIVIAL([-2, 1])
-    assert topos[1].stratum == ONE
-    # Each edge keeps the pair of leaf labels behind it, away from leaf 1.
-    subtrees = sorted(t.edge_subtrees[0] for t in topos[1:])
-    assert subtrees == [(2, 3), (2, 4), (3, 4)]
-    assert calc.sweep(4).per_topology_admissible == (8, 8, 8, 8)
+    assert stratum_class_of_topology(valences[0]) == TRIVIAL([-2, 1])
+    assert stratum_class_of_topology(valences[1]) == ONE
+
+
+def _brute_force_sweep(group, n):
+    """Mark every leaf and edge freely, keep the markings admissible at every vertex."""
+    per_marking: dict[tuple[int, ...], MotivePoly] = {}
+    total = vertex_weighted = edge_weighted = ZERO
+    per_topology = []
+    for nt in enumerate_stable_trees(n):
+        tree = nt.tree
+        leaves = [nt.leaf_of_label(label) for label in range(1, n + 1)]
+        hits = 0
+        for gt in gerby_markings(nt, group):
+            if not is_admissible(group, gt):
+                continue
+            hits += 1
+            cls = stratum_class(group, gt)
+            key = tuple(gt.marks[f] for f in leaves)
+            per_marking[key] = per_marking.get(key, ZERO) + cls
+            total = total + cls
+            vertex_weighted = vertex_weighted + cls.scale(tree.vertex_count)
+            edge_weighted = edge_weighted + cls.scale(len(tree.edges()))
+        per_topology.append(hits)
+    return per_marking, total, vertex_weighted, edge_weighted, per_topology
+
+
+@pytest.mark.parametrize(
+    "group, degrees",
+    [
+        (build_cyclic(1), (4, 5, 6)),
+        (build_cyclic(2), (4, 5, 6)),
+        (build_cyclic(3), (4, 5)),
+        (build_product_cyclic([2, 2]), (4, 5)),
+        (build_cyclic(4), (4,)),
+    ],
+    ids=["C1", "C2", "C3", "C2xC2", "C4"],
+)
+def test_sweep_matches_brute_force(group, degrees):
+    calc = _calc(group)
+    for n in degrees:
+        per_marking, total, vertex_weighted, edge_weighted, per_topology = (
+            _brute_force_sweep(group, n)
+        )
+        sweep = calc.sweep(n)
+        assert sweep.per_marking == per_marking, f"{group.name}, n = {n}"
+        assert sweep.total == total
+        assert sweep.vertex_weighted == vertex_weighted
+        assert sweep.edge_weighted == edge_weighted
+        assert sweep.inner_flag_weighted == edge_weighted.scale(2)
+        assert per_topology == [group.order ** (n - 1)] * len(per_topology)
+        assert sweep.topology_count == len(per_topology)
+        assert sweep.admissible_count == sum(per_topology)
 
 
 def test_build_report_census_and_polynomials():

@@ -104,14 +104,10 @@ def test_class_with_verification_and_per_marking(capsys):
     assert len(payload["per_marking"]) == 8
 
 
-def test_class_deterministic_across_runs_and_jobs(capsys):
+def test_class_deterministic_across_runs(capsys):
     outputs = set()
-    for argv in (
-        ("class", "--group", "cyclic:2", "--n", "5"),
-        ("class", "--group", "cyclic:2", "--n", "5"),
-        ("class", "--group", "cyclic:2", "--n", "5", "--jobs", "4"),
-    ):
-        code, out, _ = _run(capsys, *argv)
+    for _ in range(2):
+        code, out, _ = _run(capsys, "class", "--group", "cyclic:2", "--n", "5")
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
@@ -165,12 +161,10 @@ def test_verify_all_props(capsys):
     assert "MISMATCH" not in out
 
 
-def test_verify_deterministic_across_jobs(capsys):
+def test_verify_deterministic_across_runs(capsys):
     runs = set()
-    for jobs in ("1", "3"):
-        code, out, _ = _run(
-            capsys, "verify", "--group", "cyclic:3", "--n", "4", "--jobs", jobs
-        )
+    for _ in range(2):
+        code, out, _ = _run(capsys, "verify", "--group", "cyclic:3", "--n", "4")
         assert code == 0
         runs.add(out)
     assert len(runs) == 1
@@ -236,10 +230,21 @@ def test_exit_code_nonabelian(capsys):
     assert "nonabelian" in err
 
 
-def test_exit_code_bad_jobs(capsys):
-    code, _, err = _run(capsys, "class", "--group", "cyclic:2", "--n", "4", "--jobs", "0")
-    assert code == 2
-    assert "jobs" in err
+def test_exit_code_marking_cap(capsys):
+    # 7^8 class tuples exceed the default cap; refused before any enumeration.
+    for command in ("class", "verify"):
+        code, out, err = _run(capsys, command, "--group", "cyclic:7", "--n", "8")
+        assert code == 3
+        assert "cap" in err
+        assert out == ""
+
+
+def test_marking_cap_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("COVERMOTIVE_CAP", "16")
+    assert _run(capsys, "class", "--group", "cyclic:2", "--n", "4")[0] == 0
+    code, _, err = _run(capsys, "class", "--group", "cyclic:2", "--n", "5")
+    assert code == 3
+    assert "cap" in err
 
 
 def test_cap_env_override(capsys, monkeypatch):
