@@ -15,14 +15,11 @@ from .hurwitz import braid_generator, braid_orbits, enumerate_hurwitz, nielsen_c
 from .motives import EPoly, MotivePoly, class_m0n, to_hodge_euler, to_poincare
 from .smodules import (
     Atom,
-    Generator,
     SModClass,
-    Slot,
     compose,
     day_convolve,
     forget_class,
     shift_root,
-    sm_quotient,
     unit_i1,
     unit_i2,
 )
@@ -30,7 +27,6 @@ from .trees import (
     GerbyTree,
     NTree,
     Tree,
-    automorphism_count,
     enumerate_stable_trees,
     export_dot,
     gerby_markings,

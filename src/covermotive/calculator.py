@@ -30,6 +30,7 @@ tests the recursion against independently computed lower levels.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ from .smodules import (
     SModClass,
     compose,
     day_convolve,
-    forget_class,
     shift_root,
     unit_i1,
     unit_i2,
@@ -115,7 +115,7 @@ class Calculator:
             return self._sweeps[n]
         group, reps = self.group, self.conj.representatives
         markings = []
-        for cvec in _class_tuples(self.conj.count, n):
+        for cvec in itertools.product(range(self.conj.count), repeat=n):
             acc = group.identity
             for c in cvec:
                 acc = group.mul(acc, reps[c])
@@ -157,26 +157,14 @@ class Calculator:
                 raise ValueError(f"no conjugacy class {c}")
         return self.sweep(len(marking)).per_marking.get(tuple(marking), ZERO)
 
-    # ---- open part ----
-
-    def class_b_open_marked(self, marking: tuple[int, ...]) -> MotivePoly:
-        """Class of the smooth cover moduli over one marking tuple."""
-        count = nielsen_count(self.group, marking)
-        return class_m0n(len(marking)).scale(count)
-
-    def class_b_open(self, n: int) -> MotivePoly:
-        acc = ZERO
-        for cvec in _class_tuples(self.conj.count, n):
-            acc = acc + self.class_b_open_marked(cvec)
-        return acc
-
     # ---- recursion route ----
 
     def open_module(self, n: int) -> SModClass:
+        """Open part, degrees 3..n: class_m0n(m) for each marking that carries a cover."""
         atoms = []
         for m in range(3, n + 1):
             cls = class_m0n(m)
-            for cvec in _class_tuples(self.conj.count, m):
+            for cvec in itertools.product(range(self.conj.count), repeat=m):
                 if nielsen_count(self.group, cvec) == 1:
                     atoms.append(Atom(cvec, (), cls, 1))
         return SModClass(atoms)
@@ -193,45 +181,32 @@ class Calculator:
         """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
         return shift_root(self.bbar_module(n - 1), self.group)
 
+    def _term_atoms(self, n: int) -> tuple[tuple[Atom, ...], tuple[Atom, ...], list[Atom]]:
+        """Degree-n atoms of the three recursion terms: slots, edge unit, ordered pairs."""
+        dbar = self.dbar_module(n)
+        i2 = unit_i2(self.group)
+        slots = unit_i1(self.group).union(dbar)
+        pairs = {a.evals for a in i2.part(2)}
+        return (
+            compose(self.open_module(n), slots, {n}).part(n),
+            compose(i2, dbar, {n}).part(n),
+            [a for a in day_convolve(dbar, dbar, degrees={n}).part(n) if a.attach in pairs],
+        )
+
     def terms(self, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
         """The three recursion terms at degree n (third enters negatively)."""
-        if n in self._terms:
-            return self._terms[n]
-        dbar = self.dbar_module(n)
-        slots = unit_i1(self.group).union(dbar)
-        term1 = forget_class(compose(self.open_module(n), slots, {n}), n)
-        term2 = forget_class(compose(unit_i2(self.group), dbar, {n}), n)
-        conv = day_convolve(dbar, dbar, degrees={n})
-        pairs = {a.evals for a in unit_i2(self.group).part(2)}
-        term3 = ZERO
-        for atom in conv.part(n):
-            if atom.attach in pairs:
-                term3 = term3 + atom.cls.scale(atom.weight)
-        self._terms[n] = (term1, term2, term3)
+        if n not in self._terms:
+            self._terms[n] = tuple(
+                sum((a.cls.scale(a.weight) for a in atoms), ZERO) for atoms in self._term_atoms(n)
+            )
         return self._terms[n]
-
-    def recursion_rhs(self, n: int) -> MotivePoly:
-        t1, t2, t3 = self.terms(n)
-        return t1 + t2 - t3
 
     def recursion_refinement(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
         """Per-marking breakdown of the recursion side, for diagnostics."""
-        dbar = self.dbar_module(n)
-        slots = unit_i1(self.group).union(dbar)
         acc: dict[tuple[int, ...], MotivePoly] = {}
-
-        def add(evals: tuple[int, ...], cls: MotivePoly):
-            if not cls.is_zero:
-                acc[evals] = acc.get(evals, ZERO) + cls
-
-        for atom in compose(self.open_module(n), slots, {n}).part(n):
-            add(atom.evals, atom.cls.scale(atom.weight))
-        for atom in compose(unit_i2(self.group), dbar, {n}).part(n):
-            add(atom.evals, atom.cls.scale(atom.weight))
-        pairs = {a.evals for a in unit_i2(self.group).part(2)}
-        for atom in day_convolve(dbar, dbar, degrees={n}).part(n):
-            if atom.attach in pairs:
-                add(atom.evals, -atom.cls.scale(atom.weight))
+        for sign, atoms in zip((1, 1, -1), self._term_atoms(n)):
+            for atom in atoms:
+                acc[atom.evals] = acc.get(atom.evals, ZERO) + atom.cls.scale(sign * atom.weight)
         return {c: cls for c, cls in acc.items() if not cls.is_zero}
 
     # ---- verification ----
@@ -278,16 +253,6 @@ class Calculator:
             if 1 + (flags - leaves) != tree.vertex_count + len(tree.edges()):
                 return False
         return True
-
-
-def _class_tuples(ncls: int, n: int):
-    """All length-n tuples of class ids, lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    for head in _class_tuples(ncls, n - 1):
-        for c in range(ncls):
-            yield head + (c,)
 
 
 @dataclass

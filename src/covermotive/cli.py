@@ -62,6 +62,12 @@ def _cap_override(default: int) -> int:
     return value
 
 
+def _require_n(args, least: int) -> None:
+    """Refuse a degree below the subcommand's minimum before any work."""
+    if args.n < least:
+        raise MalformedSpec(f"--n must be at least {least}, got {args.n}")
+
+
 def _parse_builtin(text: str) -> dict:
     kind, _, params = text.partition(":")
     if kind not in ("cyclic", "product_cyclic", "dihedral", "symmetric"):
@@ -149,6 +155,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    _require_n(args, 3)
     trees = enumerate_stable_trees(args.n, cap=_cap_override(args.cap))
     group = None
     if args.group or getattr(args, "group_file", None):
@@ -201,11 +208,12 @@ def _parse_marking(text: str, n: int) -> tuple[int, ...]:
 
 
 def _calculator(args) -> Calculator:
-    """Load the group and refuse degrees whose class tuples exceed the marking cap.
+    """Load the group; refuse n < 3 and degrees whose class tuples exceed the marking cap.
 
     Both routes enumerate every class tuple of each degree up to n, so the
     check bounds all of their enumerations before any of them starts.
     """
+    _require_n(args, 3)
     group = _load_group(args)
     ncls = conjugacy_classes(group).count
     cap = _cap_override(DEFAULT_MARKING_CAP)
@@ -266,6 +274,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    _require_n(args, 1)
     group = _load_group(args)
     cap = _cap_override(10**8)
     vectors = enumerate_hurwitz(group, args.n, cap=cap)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InexactDivision, NegativeCoefficient
+from .errors import NegativeCoefficient
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class MotivePoly:
             cs.pop()
         return MotivePoly(tuple(cs))
 
-    @staticmethod
-    def const(c: int) -> "MotivePoly":
-        return MotivePoly.of([c])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -47,13 +43,6 @@ class MotivePoly:
     @property
     def is_one(self) -> bool:
         return self.coeffs == (1,)
-
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "MotivePoly") -> "MotivePoly":
         a, b = self.coeffs, other.coeffs
@@ -87,18 +76,6 @@ class MotivePoly:
 
     def scale(self, k: int) -> "MotivePoly":
         return MotivePoly.of(c * k for c in self.coeffs)
-
-    def div_exact(self, k: int) -> "MotivePoly":
-        """Divide every coefficient by k, refusing any remainder."""
-        if k == 0:
-            raise InexactDivision("division by zero")
-        out = []
-        for c in self.coeffs:
-            d, r = divmod(c, k)
-            if r != 0:
-                raise InexactDivision(f"coefficient {c} not divisible by {k}")
-            out.append(d)
-        return MotivePoly.of(out)
 
     def eval_at(self, x: int) -> int:
         """Evaluate at an integer, exactly (Horner)."""

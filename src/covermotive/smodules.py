@@ -27,8 +27,9 @@ The quotient is exact division: on index data (evaluations, slot degrees,
 shuffle blocks) the slot permutations act freely, because the blocks of a
 shuffle are disjoint, nonempty, and therefore pairwise distinct.  That
 rigidity is asserted at runtime, never assumed: compose checks every block
-tuple it enumerates, and sm_quotient rejects any explicit input with a
-nontrivial stabilizer, returning the offending permutation as a witness.
+tuple it enumerates and rejects a repeated block with NonFreeAction,
+returning the slot swap that fixes it as a witness.  An accumulated weight
+that m! does not divide raises InexactDivision.
 """
 
 from __future__ import annotations
@@ -49,15 +50,10 @@ from .motives import ONE, ZERO, MotivePoly
 
 
 class EngineStats:
-    """Counters proving that the runtime freeness checks actually ran."""
+    """Counts the runtime freeness checks, to show that they actually ran."""
 
     def __init__(self):
         self.freeness_checks = 0
-        self.freeness_violations = 0
-
-    def reset(self):
-        self.freeness_checks = 0
-        self.freeness_violations = 0
 
 
 stats = EngineStats()
@@ -122,49 +118,6 @@ def forget_class(x: SModClass, n: int) -> MotivePoly:
     return acc
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One slot of an explicit composition generator."""
-
-    k: int
-    kind: str  # "leaf" or "tail"
-    tail_cls: MotivePoly = ONE
-    root_eval: int = 0
-
-    def __post_init__(self):
-        if self.kind == "leaf":
-            if self.k != 1 or not self.tail_cls.is_one:
-                raise ValueError("leaf slots have k = 1 and trivial class")
-        elif self.kind == "tail":
-            if self.k < 2:
-                raise ValueError("tail slots have k >= 2")
-        else:
-            raise ValueError(f"unknown slot kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Explicit pre-quotient composition datum, for sm_quotient."""
-
-    root_evals: tuple[int, ...]
-    slots: tuple[Slot, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    root_cls: MotivePoly
-    weight: int = 1
-
-    def __post_init__(self):
-        m = len(self.root_evals)
-        if len(self.slots) != m or len(self.blocks) != m:
-            raise ValueError("root_evals, slots and blocks must have equal length")
-        for slot, block in zip(self.slots, self.blocks):
-            if len(block) != slot.k:
-                raise ValueError("block size must match slot degree")
-
-    @property
-    def degree(self) -> int:
-        return sum(s.k for s in self.slots)
-
-
 def unit_i1(group: FiniteGroup) -> SModClass:
     """Degree-1 unit: one generator per class, attached at that class."""
     conj = conjugacy_classes(group)
@@ -180,11 +133,6 @@ def unit_i2(group: FiniteGroup) -> SModClass:
     conj = conjugacy_classes(group)
     iota = class_involution(group)
     return SModClass(Atom((c, iota(c)), (), ONE) for c in range(conj.count))
-
-
-def convolution_unit() -> SModClass:
-    """Degree-0 unit for the graded product."""
-    return SModClass([Atom((), (), ONE)])
 
 
 def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
@@ -266,7 +214,6 @@ def _check_rigid(blocks: tuple[tuple[int, ...], ...]) -> None:
     seen: dict[tuple[int, ...], int] = {}
     for i, b in enumerate(blocks):
         if b in seen:
-            stats.freeness_violations += 1
             witness = list(range(len(blocks)))
             witness[seen[b]], witness[i] = i, seen[b]
             raise NonFreeAction(
@@ -274,38 +221,6 @@ def _check_rigid(blocks: tuple[tuple[int, ...], ...]) -> None:
                 tuple(witness),
             )
         seen[b] = i
-
-
-def sm_quotient(gens: Sequence[Generator], m: int) -> MotivePoly:
-    """Total class of a list of explicit composites divided by the slot symmetries.
-
-    The permutation action on the index data (root evaluations, slot degrees,
-    shuffle blocks) must be free: the stabilizer of a generator is the group
-    permuting positions with identical (evaluation, degree, block) triples,
-    so any repeat among those triples is rejected with a witness.
-    """
-    total = ZERO
-    for g in gens:
-        if len(g.root_evals) != m:
-            raise ValueError(f"generator has {len(g.root_evals)} slots, expected {m}")
-        stats.freeness_checks += 1
-        seen: dict[tuple, int] = {}
-        for i in range(m):
-            triple = (g.root_evals[i], g.slots[i].k, g.blocks[i])
-            if triple in seen:
-                stats.freeness_violations += 1
-                witness = list(range(m))
-                witness[seen[triple]], witness[i] = i, seen[triple]
-                raise NonFreeAction(
-                    f"slots {seen[triple]} and {i} carry identical index data",
-                    tuple(witness),
-                )
-            seen[triple] = i
-        cls = g.root_cls
-        for slot in g.slots:
-            cls = cls * slot.tail_cls
-        total = total + cls.scale(g.weight)
-    return total.div_exact(factorial(m))
 
 
 def _slot_degree_vectors(

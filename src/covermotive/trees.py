@@ -216,66 +216,6 @@ def enumerate_stable_trees(n: int, cap: int = STABLE_TREE_CAP) -> list[NTree]:
     return [_tree_from_family(n, fam) for fam in families]
 
 
-def canonical_key(nt: NTree):
-    """Isomorphism-invariant encoding, rooted at the vertex holding leaf 1."""
-
-    def encode(v: int, entry_flag: int | None):
-        children = []
-        for f in sorted(nt.tree.flags_at(v)):
-            if f == entry_flag:
-                continue
-            if nt.tree.j[f] == f:
-                children.append(("L", nt.labels[f]))
-            else:
-                partner = nt.tree.j[f]
-                children.append(("T", encode(nt.tree.vertex_of[partner], partner)))
-        return tuple(sorted(children, key=repr))
-
-    root = nt.tree.vertex_of[nt.leaf_of_label(1)]
-    return encode(root, None)
-
-
-def automorphism_count(t: Tree | NTree) -> int:
-    """Order of the automorphism group of the flag structure.
-
-    Stable trees with labeled leaves always give 1.  For an unlabeled tree
-    the leaf flags at a vertex are interchangeable, so each vertex map that
-    preserves the graph contributes the product of leaf-count factorials.
-    """
-    if isinstance(t, NTree):
-        tree, labels = t.tree, t.labels
-    else:
-        tree, labels = t, None
-    v = tree.vertex_count
-    edge_set = {frozenset((tree.vertex_of[a], tree.vertex_of[b])) for a, b in tree.edges()}
-    leaf_flags = [[f for f in tree.flags_at(u) if tree.j[f] == f] for u in range(v)]
-    total = 0
-    for phi in itertools.permutations(range(v)):
-        if {frozenset((phi[min(e)], phi[max(e)])) for e in edge_set} != edge_set:
-            continue
-        if labels is None:
-            if any(len(leaf_flags[u]) != len(leaf_flags[phi[u]]) for u in range(v)):
-                continue
-            contrib = 1
-            for u in range(v):
-                contrib *= _factorial(len(leaf_flags[u]))
-            total += contrib
-        else:
-            if all(
-                {labels[f] for f in leaf_flags[u]} == {labels[f] for f in leaf_flags[phi[u]]}
-                for u in range(v)
-            ):
-                total += 1
-    return total
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def gerby_markings(
     nt: NTree, group: FiniteGroup, cap: int = DEFAULT_MARKING_CAP
 ) -> list[GerbyTree]:
@@ -301,14 +241,6 @@ def gerby_markings(
             marks[b] = iota(c)
         out.append(GerbyTree(nt, tuple(marks)))
     return out
-
-
-def validate_gerby(group: FiniteGroup, gt: GerbyTree) -> None:
-    """Check that edge flags carry inversion-paired classes."""
-    iota = class_involution(group)
-    for a, b in gt.ntree.tree.edges():
-        if gt.marks[a] != iota(gt.marks[b]):
-            raise ValueError(f"edge ({a}, {b}) marks are not inversion-paired")
 
 
 def is_admissible(group: FiniteGroup, gt: GerbyTree) -> bool:
@@ -349,26 +281,17 @@ def stratum_class_of_topology(n_valences: tuple[int, ...]) -> MotivePoly:
     return acc
 
 
-def export_dot(item: NTree | GerbyTree, group: FiniteGroup | None = None) -> str:
-    """Deterministic DOT rendering; marked trees annotate flags with class ids."""
-    if isinstance(item, GerbyTree):
-        nt, marks = item.ntree, item.marks
-    else:
-        nt, marks = item, None
+def export_dot(nt: NTree) -> str:
+    """Deterministic DOT rendering of a labeled tree."""
     tree = nt.tree
     lines = ["graph stable_tree {", "  node [fontsize=10];"]
     for v in range(tree.vertex_count):
         lines.append(f'  v{v} [shape=circle, label="v{v}"];')
     for f in sorted(tree.leaves(), key=lambda f: nt.labels[f]):
         label = nt.labels[f]
-        text = f"{label}" if marks is None else f"{label} [c{marks[f]}]"
-        lines.append(f'  leaf{label} [shape=plaintext, label="{text}"];')
+        lines.append(f'  leaf{label} [shape=plaintext, label="{label}"];')
         lines.append(f"  v{tree.vertex_of[f]} -- leaf{label};")
     for a, b in tree.edges():
-        va, vb = tree.vertex_of[a], tree.vertex_of[b]
-        if marks is None:
-            lines.append(f"  v{va} -- v{vb};")
-        else:
-            lines.append(f'  v{va} -- v{vb} [label="c{marks[a]}|c{marks[b]}"];')
+        lines.append(f"  v{tree.vertex_of[a]} -- v{tree.vertex_of[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

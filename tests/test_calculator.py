@@ -8,7 +8,7 @@ from covermotive.calculator import Calculator, build_report
 from covermotive.errors import UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
-from covermotive.smodules import Atom
+from covermotive.smodules import Atom, forget_class
 from covermotive.trees import (
     enumerate_stable_trees,
     gerby_markings,
@@ -94,11 +94,12 @@ def test_scaling_law():
 
 def test_open_class():
     trivial = _calc(build_cyclic(1))
-    assert trivial.class_b_open(4) == TRIVIAL([-2, 1])
+    assert forget_class(trivial.open_module(4), 4) == TRIVIAL([-2, 1])
     calc = _calc(build_cyclic(2))
-    assert calc.class_b_open(4) == TRIVIAL([-16, 8])
-    assert calc.class_b_open_marked((1, 1, 1, 1)) == TRIVIAL([-2, 1])
-    assert calc.class_b_open_marked((1, 0, 0, 0)) == ZERO
+    assert forget_class(calc.open_module(4), 4) == TRIVIAL([-16, 8])
+    by_marking = {a.evals: a.cls.scale(a.weight) for a in calc.open_module(4).part(4)}
+    assert by_marking[(1, 1, 1, 1)] == TRIVIAL([-2, 1])
+    assert by_marking.get((1, 0, 0, 0), ZERO) == ZERO
 
 
 def _tail(calc: Calculator, n: int, k: int, c: int) -> MotivePoly:

@@ -257,3 +257,21 @@ def test_cap_env_override(capsys, monkeypatch):
     assert "COVERMOTIVE_CAP" in err
     monkeypatch.delenv("COVERMOTIVE_CAP")
     assert _run(capsys, "trees", "--n", "5")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("class", "--group", "cyclic:2", "--n", "2"),
+        ("class", "--group", "cyclic:2", "--n", "-5"),
+        ("verify", "--group", "cyclic:2", "--n", "1"),
+        ("trees", "--n", "2"),
+        ("hurwitz", "--group", "cyclic:2", "--n", "0"),
+    ],
+    ids=["class-2", "class-neg", "verify-1", "trees-2", "hurwitz-0"],
+)
+def test_exit_code_degree_too_small(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "--n" in err
+    assert out == ""

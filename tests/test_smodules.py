@@ -23,17 +23,13 @@ from covermotive.groups import build_cyclic, build_product_cyclic, conjugacy_cla
 from covermotive.motives import ONE, MotivePoly, Q
 from covermotive.smodules import (
     Atom,
-    Generator,
     SModClass,
-    Slot,
     _check_rigid,
     compose,
-    convolution_unit,
     day_convolve,
     forget_class,
     shift_root,
     shuffle_blocks,
-    sm_quotient,
     stats,
     unit_i1,
     unit_i2,
@@ -98,7 +94,9 @@ def test_units():
     assert u2.degrees() == [2]
     # Evaluations pair each class with its inverse class.
     assert u2.part(2) == tuple(Atom((c, (3 - c) % 3), (), ONE) for c in range(3))
-    u0 = convolution_unit()
+    # The degree-0 unit of the graded product is a single trivial atom.
+    u0 = SModClass([Atom((), (), ONE)])
+    assert u0.degrees() == [0]
     assert u0.part(0) == (Atom((), (), ONE),)
 
 
@@ -132,8 +130,9 @@ def test_shift_root_guards():
 
 def test_day_convolve_unit_and_commutativity():
     x = SModClass([Atom((0, 1), (), Q, 1), Atom((0,), (), ONE, 2)])
-    assert day_convolve(x, convolution_unit()) == x
-    assert day_convolve(convolution_unit(), x) == x
+    u0 = SModClass([Atom((), (), ONE)])
+    assert day_convolve(x, u0) == x
+    assert day_convolve(u0, x) == x
     y = SModClass([Atom((1,), (), ONE, 1)])
     assert day_convolve(x, y) == day_convolve(y, x)
 
@@ -184,38 +183,6 @@ def test_check_rigid_detects_repeats():
     with pytest.raises(NonFreeAction) as exc:
         _check_rigid(((0, 1), (0, 1)))
     assert exc.value.witness == (1, 0)
-
-
-def test_sm_quotient_orbit_of_two():
-    gens = [
-        Generator((0, 1), (Slot(1, "leaf"), Slot(1, "leaf")), ((0,), (1,)), Q),
-        Generator((1, 0), (Slot(1, "leaf"), Slot(1, "leaf")), ((1,), (0,)), Q),
-    ]
-    assert sm_quotient(gens, 2) == Q
-
-
-def test_sm_quotient_rejects_stabilized_generator():
-    g = Generator((0, 0), (Slot(1, "leaf"), Slot(1, "leaf")), ((0,), (0,)), Q)
-    with pytest.raises(NonFreeAction) as exc:
-        sm_quotient([g], 2)
-    assert exc.value.witness == (1, 0)
-
-
-def test_sm_quotient_detects_inexact_totals():
-    g = Generator((0, 1), (Slot(1, "leaf"), Slot(1, "leaf")), ((0,), (1,)), Q)
-    with pytest.raises(InexactDivision):
-        sm_quotient([g], 2)
-
-
-def test_slot_validation():
-    with pytest.raises(ValueError):
-        Slot(2, "leaf")
-    with pytest.raises(ValueError):
-        Slot(1, "tail")
-    with pytest.raises(ValueError):
-        Slot(1, "stalk")
-    with pytest.raises(ValueError):
-        Generator((0,), (Slot(1, "leaf"),), ((0, 1),), ONE)
 
 
 def test_compose_left_unit():
@@ -307,7 +274,5 @@ def test_compose_interchange_with_day_convolution():
 
 def test_freeness_counters_advance():
     checks_before = stats.freeness_checks
-    violations_before = stats.freeness_violations
     compose(unit_i2(Z2), unit_i1(Z2), {2})
     assert stats.freeness_checks > checks_before
-    assert stats.freeness_violations == violations_before

@@ -1,26 +1,28 @@
-"""Stable tree enumeration, canonical forms, markings, admissibility."""
+"""Stable tree enumeration, markings, admissibility."""
 
 from __future__ import annotations
 
 import pytest
 
 from covermotive.errors import SizeLimit, UnsupportedNonabelian
-from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
+from covermotive.groups import (
+    build_cyclic,
+    build_product_cyclic,
+    build_symmetric,
+    class_involution,
+)
 from covermotive.motives import ONE, ZERO, MotivePoly
 from covermotive.oracle import brute_force_tree_count
 from covermotive.trees import (
     GerbyTree,
     NTree,
     Tree,
-    automorphism_count,
-    canonical_key,
     enumerate_stable_trees,
     export_dot,
     gerby_markings,
     is_admissible,
     stratum_class,
     stratum_class_of_topology,
-    validate_gerby,
 )
 
 STAR4 = NTree(Tree((0, 1, 2, 3), (0, 0, 0, 0)), (1, 2, 3, 4))
@@ -92,12 +94,34 @@ def test_enumeration_structural_bounds():
             assert len(tree.leaves()) == n
 
 
+def _split_key(nt: NTree) -> frozenset:
+    """The leaf labels behind each edge, seen from leaf 1.
+
+    This laminar family determines the labeled tree up to isomorphism, so
+    two trees with equal keys are the same stratum.
+    """
+    tree = nt.tree
+
+    def behind(f: int) -> frozenset:
+        # Labels reached through flag f's edge, away from f's own vertex.
+        g = tree.j[f]
+        out = set()
+        for h in tree.flags_at(tree.vertex_of[g]):
+            if h != g:
+                out |= {nt.labels[h]} if tree.j[h] == h else behind(h)
+        return frozenset(out)
+
+    return frozenset(behind(b) if 1 in behind(a) else behind(a) for a, b in tree.edges())
+
+
 def test_enumeration_is_deterministic_and_duplicate_free():
-    a = enumerate_stable_trees(5)
-    b = enumerate_stable_trees(5)
-    assert a == b
-    keys = {canonical_key(nt) for nt in a}
-    assert len(keys) == len(a)
+    assert enumerate_stable_trees(5) == enumerate_stable_trees(5)
+    # The key ignores flag and vertex ids: the caterpillar laid out again.
+    relaid = NTree(Tree((0, 1, 2, 3, 5, 4), (1, 1, 0, 0, 1, 0)), (3, 4, 1, 2, 0, 0))
+    assert _split_key(_caterpillar4()) == _split_key(relaid) == {frozenset({3, 4})}
+    for n in (4, 5, 6):
+        trees = enumerate_stable_trees(n)
+        assert len({_split_key(nt) for nt in trees}) == len(trees)
 
 
 def test_enumeration_guards():
@@ -107,28 +131,6 @@ def test_enumeration_guards():
         enumerate_stable_trees(10)
     with pytest.raises(SizeLimit):
         enumerate_stable_trees(5, cap=4)
-
-
-def test_canonical_key_invariant_under_relabeling():
-    # The same caterpillar laid out with permuted flag ids and vertex ids.
-    a = _caterpillar4()
-    j = (0, 1, 2, 3, 5, 4)
-    b = NTree(Tree(j, (1, 1, 0, 0, 1, 0)), (3, 4, 1, 2, 0, 0))
-    assert canonical_key(a) == canonical_key(b)
-    assert canonical_key(a) != canonical_key(STAR4)
-
-
-def test_automorphisms_trivial_for_labeled_trees():
-    for n in (4, 5):
-        for nt in enumerate_stable_trees(n):
-            assert automorphism_count(nt) == 1
-
-
-def test_automorphisms_of_unlabeled_trees():
-    # One vertex, three leaves: the full leaf symmetric group.
-    assert automorphism_count(Tree((0, 1, 2), (0, 0, 0))) == 6
-    # Two vertices with two leaves each: leaf swaps times the vertex swap.
-    assert automorphism_count(_caterpillar4().tree) == 8
 
 
 def test_gerby_markings_counts():
@@ -143,11 +145,10 @@ def test_gerby_markings_counts():
 
 def test_gerby_markings_edge_pairing():
     z3 = build_cyclic(3)
+    iota = class_involution(z3)
     for gt in gerby_markings(_caterpillar4(), z3):
-        validate_gerby(z3, gt)
-    bad = GerbyTree(_caterpillar4(), (0, 0, 0, 0, 1, 1))
-    with pytest.raises(ValueError):
-        validate_gerby(z3, bad)
+        for a, b in gt.ntree.tree.edges():
+            assert gt.marks[a] == iota(gt.marks[b])
 
 
 def test_admissibility_z2_star():
@@ -205,6 +206,4 @@ def test_export_dot():
     assert text.startswith("graph stable_tree {")
     assert text.count("leaf") == 2 * 4
     assert "v0 -- leaf1;" in text
-    marked = export_dot(GerbyTree(_caterpillar4(), (0, 1, 0, 1, 1, 1)))
-    assert '[label="c1|c1"]' in marked
-    assert '1 [c0]' in marked
+    assert "v0 -- v1;" in export_dot(_caterpillar4())
