@@ -47,7 +47,7 @@ from .smodules import (
     unit_i1,
     unit_i2,
 )
-from .trees import NTree, enumerate_stable_trees, stratum_class_of_topology
+from .trees import STABLE_TREE_CAP, NTree, enumerate_stable_trees, stratum_class_of_topology
 
 
 @dataclass
@@ -81,7 +81,7 @@ class VerificationReport:
 class Calculator:
     """Shared tables for one abelian group: sweeps, tails, recursion terms."""
 
-    def __init__(self, group: FiniteGroup, tree_cap: int = 9):
+    def __init__(self, group: FiniteGroup, tree_cap: int = STABLE_TREE_CAP):
         if not group.is_abelian():
             raise UnsupportedNonabelian(
                 f"group {group.name} is nonabelian; the cover moduli here "

@@ -36,10 +36,11 @@ from .errors import (
     UnsupportedNonabelian,
 )
 from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
-from .hurwitz import braid_orbits, enumerate_hurwitz
+from .hurwitz import DEFAULT_TUPLE_CAP, braid_orbits, enumerate_hurwitz
 from .motives import format_poly
 from .trees import (
     DEFAULT_MARKING_CAP,
+    STABLE_TREE_CAP,
     enumerate_stable_trees,
     export_dot,
     gerby_markings,
@@ -197,21 +198,25 @@ def cmd_trees(args) -> int:
     return 0
 
 
-def _parse_marking(text: str, n: int) -> tuple[int, ...]:
+def _parse_marking(text: str, n: int, ncls: int) -> tuple[int, ...]:
     try:
         marking = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise MalformedSpec(f"marking must be comma-separated class ids, got {text!r}")
     if len(marking) != n:
         raise MalformedSpec(f"marking length {len(marking)} does not match n = {n}")
+    for c in marking:
+        if not 0 <= c < ncls:
+            raise MalformedSpec(f"marking names class {c}; class ids run 0..{ncls - 1}")
     return marking
 
 
 def _calculator(args) -> Calculator:
-    """Load the group; refuse n < 3 and degrees whose class tuples exceed the marking cap.
+    """Load the group; refuse n < 3 and degrees beyond the marking or tree cap.
 
-    Both routes enumerate every class tuple of each degree up to n, so the
-    check bounds all of their enumerations before any of them starts.
+    Both routes enumerate every class tuple and every stable tree of each
+    degree up to n, so the checks bound all of their enumerations before any
+    of them starts.
     """
     _require_n(args, 3)
     group = _load_group(args)
@@ -221,12 +226,15 @@ def _calculator(args) -> Calculator:
     # decides the same way without building a huge integer.
     if ncls ** min(args.n, cap.bit_length()) > cap:
         raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {cap}")
-    return Calculator(group, tree_cap=_cap_override(9))
+    tree_cap = _cap_override(STABLE_TREE_CAP)
+    if args.n > tree_cap:
+        raise SizeLimit(f"n = {args.n} exceeds stable tree cap {tree_cap}")
+    return Calculator(group, tree_cap=tree_cap)
 
 
 def cmd_class(args) -> int:
     calc = _calculator(args)
-    marking = _parse_marking(args.marking, args.n) if args.marking else None
+    marking = _parse_marking(args.marking, args.n, calc.conj.count) if args.marking else None
     report = build_report(
         calc,
         args.n,
@@ -276,7 +284,7 @@ def cmd_verify(args) -> int:
 def cmd_hurwitz(args) -> int:
     _require_n(args, 1)
     group = _load_group(args)
-    cap = _cap_override(10**8)
+    cap = _cap_override(DEFAULT_TUPLE_CAP)
     vectors = enumerate_hurwitz(group, args.n, cap=cap)
     print(f"product-one tuples for {group.name}, n = {args.n}: {len(vectors)}")
     if args.orbits:
@@ -310,7 +318,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_group_args(p_trees)
     p_trees.add_argument("--csv", action="store_true", help="emit per-topology census rows")
     p_trees.add_argument("--dot", help="directory for DOT files, one per topology")
-    p_trees.add_argument("--cap", type=int, default=9)
+    p_trees.add_argument("--cap", type=int, default=STABLE_TREE_CAP)
     p_trees.set_defaults(func=cmd_trees)
 
     p_class = sub.add_parser("class", help="compute the compactified class")

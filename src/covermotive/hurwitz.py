@@ -26,45 +26,23 @@ DEFAULT_TUPLE_CAP = 10**8
 
 
 def enumerate_hurwitz(
-    group: FiniteGroup,
-    n: int,
-    constraint: Sequence[int] | None = None,
-    cap: int = DEFAULT_TUPLE_CAP,
+    group: FiniteGroup, n: int, cap: int = DEFAULT_TUPLE_CAP
 ) -> list[tuple[int, ...]]:
     """All product-one n-tuples, lexicographically ordered.
 
-    With a constraint, entry i is restricted to conjugacy class constraint[i].
     The last entry is forced by the first n - 1, so the work is bounded by
     order^(n-1), which must stay within the cap.
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
-    if constraint is not None and len(constraint) != n:
-        raise ValueError(f"constraint length {len(constraint)} does not match n = {n}")
     if group.order ** (n - 1) > cap:
         raise DegreeOverflow(f"{group.order}^{n - 1} exceeds cap {cap}")
-
-    conj = conjugacy_classes(group)
-    if constraint is None:
-        pools = [range(group.order)] * (n - 1)
-    else:
-        for c in constraint:
-            if not 0 <= c < conj.count:
-                raise ValueError(f"no conjugacy class {c}")
-        pools = [
-            [g for g in range(group.order) if conj.class_of[g] == c]
-            for c in constraint[: n - 1]
-        ]
-
     out = []
-    for prefix in itertools.product(*pools):
+    for prefix in itertools.product(range(group.order), repeat=n - 1):
         acc = group.identity
         for g in prefix:
             acc = group.mul(acc, g)
-        last = group.inv(acc)
-        if constraint is not None and conj.class_of[last] != constraint[n - 1]:
-            continue
-        out.append(prefix + (last,))
+        out.append(prefix + (group.inv(acc),))
     return out
 
 

@@ -35,17 +35,6 @@ class PrimeField:
     def elements(self) -> range:
         return range(self.p)
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
 
 def brute_force_m0n_count(n: int, p: int, cap: int = DEFAULT_POINT_CAP) -> int:
     """Count configurations of n distinct marked points on a line over F_p.

@@ -23,20 +23,21 @@ Operations:
   partitions into blocks, read increasingly within each block), and the
   result is the quotient by the symmetric group permuting the slots.
 
-The quotient is exact division: on index data (evaluations, slot degrees,
-shuffle blocks) the slot permutations act freely, because the blocks of a
-shuffle are disjoint, nonempty, and therefore pairwise distinct.  That
-rigidity is asserted at runtime, never assumed: compose checks every block
-tuple it enumerates and rejects a repeated block with NonFreeAction,
-returning the slot swap that fixes it as a witness.  An accumulated weight
-that m! does not divide raises InexactDivision.
+The slot permutations act freely on shuffles, because the blocks of a
+shuffle are disjoint, nonempty, and therefore pairwise distinct.  So the
+quotient takes one shuffle per orbit: a set partition of the outer labels,
+blocks ordered by least label.  compose still checks every partition it
+enumerates and rejects a repeated block with NonFreeAction, returning the
+slot swap that fixes it as a witness.  One representative per orbit stands
+for the whole orbit only if the outer generators are closed under permuting
+their evaluations; compose checks that closure on each adjacent swap and
+raises InexactDivision where it fails.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -178,34 +179,21 @@ def day_convolve(
     return SModClass(out)
 
 
-_partition_cache: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], ...]]] = {}
+def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of {0..n-1} into nonempty blocks, each exactly once.
 
-
-def shuffle_blocks(kvec: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """All ordered partitions of {0..sum-1} into blocks of the given sizes.
-
-    These index the shuffles for the slot degrees kvec: block i lists, in
-    increasing order, the outer labels routed to slot i.
+    Blocks are read increasingly and ordered by least label: one shuffle per
+    orbit of the slot permutations.  Labels join in increasing order, either
+    to an existing block or as a new last block, which keeps both orders.
     """
-    key = (sum(kvec), tuple(kvec))
-    cached = _partition_cache.get(key)
-    if cached is not None:
-        return cached
-
-    result: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(remaining: tuple[int, ...], i: int, acc: list[tuple[int, ...]]):
-        if i == len(kvec):
-            result.append(tuple(acc))
-            return
-        for combo in itertools.combinations(remaining, kvec[i]):
-            acc.append(combo)
-            rec(tuple(p for p in remaining if p not in combo), i + 1, acc)
-            acc.pop()
-
-    rec(tuple(range(key[0])), 0, [])
-    _partition_cache[key] = result
-    return result
+    parts: list[tuple[tuple[int, ...], ...]] = [()]
+    for label in range(n):
+        parts = [
+            p[:i] + (p[i] + (label,),) + p[i + 1 :] if i < len(p) else p + ((label,),)
+            for p in parts
+            for i in range(len(p) + 1)
+        ]
+    return parts
 
 
 def _check_rigid(blocks: tuple[tuple[int, ...], ...]) -> None:
@@ -223,29 +211,17 @@ def _check_rigid(blocks: tuple[tuple[int, ...], ...]) -> None:
         seen[b] = i
 
 
-def _slot_degree_vectors(
-    m: int, w_degrees: list[int], targets: set[int]
-) -> list[tuple[int, ...]]:
-    """Ordered tuples of m inner degrees whose sum lies in targets."""
-    max_t = max(targets)
-    min_d = w_degrees[0]
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, partial: int, acc: list[int]):
-        if i == m:
-            if partial in targets:
-                out.append(tuple(acc))
-            return
-        rem = m - i
-        for d in w_degrees:
-            if partial + d + (rem - 1) * min_d > max_t:
-                break
-            acc.append(d)
-            rec(i + 1, partial + d, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return out
+def _check_symmetric(atoms: Sequence[Atom]) -> None:
+    """The atoms are closed under permuting evaluations (adjacent swaps generate)."""
+    weights = {(a.evals, a.attach, a.cls): a.weight for a in atoms}
+    for (evals, attach, cls), weight in weights.items():
+        for i in range(len(evals) - 1):
+            swapped = evals[:i] + (evals[i + 1], evals[i]) + evals[i + 2 :]
+            if weights.get((swapped, attach, cls)) != weight:
+                raise InexactDivision(
+                    f"outer generator {evals} has no partner {swapped} of equal class "
+                    f"and weight, so one shuffle per slot orbit does not give the quotient"
+                )
 
 
 def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
@@ -253,9 +229,12 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
 
     Produces the parts of the composite in the requested degrees.  Slot i of
     an outer degree-m generator accepts inner generators whose root
-    attachment equals the outer i-th evaluation.  For each choice, every
-    shuffle distributes the outer labels; the accumulated weights are then
-    divided, exactly, by m!.
+    attachment equals the outer i-th evaluation.  Each orbit of shuffles
+    under the slot permutations is taken once, as a set partition of the
+    outer labels into m blocks (block i goes to slot i), so the weights are
+    already the quotient; this needs the degree-m part of x to be closed
+    under permuting evaluations, which is checked.  A degree-0 generator of
+    x has the empty partition only and passes through.
     """
     if w.part(0):
         raise NonEmptyDegreeZero("inner module must have empty degree-0 part")
@@ -266,46 +245,31 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
                 f"inner generator at degree {a.degree} lacks a root attachment"
             )
         w_by.setdefault((a.degree, a.attach[0]), []).append(a)
-    w_degrees = w.degrees()
-    targets = set(degrees)
-    if not targets or not w_degrees:
-        return SModClass()
 
-    out_atoms: list[Atom] = []
-    for m in x.degrees():
-        if m == 0:
-            # No slots to fill: the generator passes through untouched.
-            for xa in x.part(0):
-                if 0 in targets:
-                    out_atoms.append(xa)
-            continue
-        if m > max(targets):
-            continue
-        acc: dict[tuple[tuple[int, ...], tuple[int, ...], MotivePoly], int] = {}
-        for kvec in _slot_degree_vectors(m, w_degrees, targets):
-            blocks_list = shuffle_blocks(kvec)
-            for blocks in blocks_list:
-                _check_rigid(blocks)
-            n = sum(kvec)
-            for xa in x.part(m):
-                pools = []
-                for i in range(m):
-                    lst = w_by.get((kvec[i], xa.evals[i]))
-                    if not lst:
-                        pools = None
-                        break
-                    pools.append(lst)
-                if pools is None:
-                    continue
+    # Orbit representatives by slot count, then by block-size vector, so that
+    # each (sizes, outer atom, inner choice) multiplies its classes once.
+    shapes: dict[int, dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]] = {}
+    for n in set(degrees):
+        for blocks in set_partitions(n):
+            _check_rigid(blocks)
+            sizes = tuple(len(b) for b in blocks)
+            shapes.setdefault(len(blocks), {}).setdefault(sizes, []).append(blocks)
+
+    acc: dict[tuple[tuple[int, ...], tuple[int, ...], MotivePoly], int] = {}
+    for m, by_sizes in shapes.items():
+        outer = x.part(m)
+        _check_symmetric(outer)
+        for sizes, reps in by_sizes.items():
+            n = sum(sizes)
+            for xa in outer:
+                pools = [w_by.get(slot, ()) for slot in zip(sizes, xa.evals)]
                 for ws in itertools.product(*pools):
                     cls = xa.cls
                     weight = xa.weight
                     for wa in ws:
                         cls = cls * wa.cls
                         weight *= wa.weight
-                    if cls.is_zero or weight == 0:
-                        continue
-                    for blocks in blocks_list:
+                    for blocks in reps:
                         evals = [0] * n
                         for i, block in enumerate(blocks):
                             we = ws[i].evals
@@ -313,15 +277,4 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
                                 evals[lbl] = we[pos]
                         key = (tuple(evals), xa.attach, cls)
                         acc[key] = acc.get(key, 0) + weight
-        fact = factorial(m)
-        for (evals, attach, cls), weight in acc.items():
-            q, r = divmod(weight, fact)
-            if r != 0:
-                raise InexactDivision(
-                    f"slot quotient at outer degree {m} is not exact: "
-                    f"{weight} not divisible by {fact} (is the input closed under "
-                    f"permuting evaluations?)"
-                )
-            if q:
-                out_atoms.append(Atom(evals, attach, cls, q))
-    return SModClass(out_atoms)
+    return SModClass(Atom(evals, attach, cls, weight) for (evals, attach, cls), weight in acc.items())

@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -36,8 +37,8 @@ from covermotive.smodules import (
     SModClass,
     compose,
     forget_class,
+    set_partitions,
     shift_root,
-    shuffle_blocks,
     stats,
     unit_i1,
     unit_i2,
@@ -234,16 +235,19 @@ def test_criterion_08_engine_laws():
         lifted = forget_class(dbar, k)
         ok = ok and lifted == forget_class(bbar, k + 1)
 
-    # Shuffle cardinalities: multinomial coefficients for every block profile.
+    # Partition counts: n! / (prod k_i! * prod mult_j!) for every block profile.
     for n in range(1, 9):
+        profiles = Counter(tuple(sorted(len(b) for b in p)) for p in set_partitions(n))
         for parts in range(1, n + 1):
             for cuts in itertools.combinations(range(1, n), parts - 1):
                 bounds = (0,) + cuts + (n,)
-                kvec = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+                sizes = tuple(sorted(b - a for a, b in zip(bounds, bounds[1:])))
                 want = factorial(n)
-                for k in kvec:
+                for k in sizes:
                     want //= factorial(k)
-                ok = ok and len(shuffle_blocks(kvec)) == want
+                for mult in Counter(sizes).values():
+                    want //= factorial(mult)
+                ok = ok and profiles[sizes] == want
 
     # Associativity of composition on randomized symmetric rooted inputs.
     rng = random.Random(43)
@@ -270,7 +274,7 @@ def test_criterion_08_engine_laws():
 
     assert _report(
         8,
-        "engine laws: units, root shift, shuffle counts, associativity, freeness",
+        "engine laws: units, root shift, partition counts, associativity, freeness",
         ok,
         f"freeness checks during recursion: {_matrix_freeness['checks']}",
     )

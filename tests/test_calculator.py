@@ -148,6 +148,13 @@ def test_main_theorem_small_matrix():
     assert report.lhs == TRIVIAL([64, 64])
 
 
+def test_main_theorem_c2_n8():
+    # Scaling law on the Betti numbers of M_0,8: 2^7 * (1, 99, 715, 715, 99, 1).
+    report = _calc(build_cyclic(2)).verify_main_theorem(8)
+    assert report.equal
+    assert report.lhs == TRIVIAL([1, 99, 715, 715, 99, 1]).scale(128)
+
+
 def test_mainprop_identities_n4():
     calc = _calc(build_cyclic(1))
     vertex, edge, flags = calc.verify_mainprop(4)

@@ -206,6 +206,14 @@ def test_exit_code_malformed_spec(capsys):
     assert "error:" in err
     code, _, _ = _run(capsys, "class", "--group", "cyclic:2", "--n", "4", "--marking", "1,1")
     assert code == 2
+    # Class ids outside 0..classes-1 are refused before any work.
+    for marking in ("0,0,0,7", "0,0,0,-1"):
+        code, out, err = _run(
+            capsys, "class", "--group", "cyclic:2", "--n", "4", "--marking", marking
+        )
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
     code, _, _ = _run(capsys, "group")
     assert code == 2
 
@@ -222,6 +230,13 @@ def test_exit_code_size_limit(capsys):
     code, _, err = _run(capsys, "trees", "--n", "12")
     assert code == 3
     assert "cap" in err
+    # One class tuple per degree, so only the tree cap can refuse n = 10; it
+    # must do so before the tail sweeps and the recursion start.
+    for command in ("class", "verify"):
+        code, out, err = _run(capsys, command, "--group", "cyclic:1", "--n", "10")
+        assert code == 3
+        assert "cap" in err
+        assert out == ""
 
 
 def test_exit_code_nonabelian(capsys):

@@ -40,25 +40,10 @@ def test_enumeration_count_and_product():
             assert vectors == sorted(vectors)
 
 
-def test_enumeration_with_class_constraint():
-    s3 = build_symmetric(3)
-    conj = conjugacy_classes(s3)
-    vectors = enumerate_hurwitz(s3, 4, constraint=(1, 1, 1, 1))
-    assert len(vectors) == 27
-    assert all(conj.class_of[g] == 1 for v in vectors for g in v)
-    # Parity obstruction: three transpositions and the identity cannot
-    # multiply to one.
-    assert enumerate_hurwitz(s3, 4, constraint=(1, 1, 1, 0)) == []
-
-
 def test_enumeration_guards():
     s3 = build_symmetric(3)
     with pytest.raises(ValueError):
         enumerate_hurwitz(s3, 0)
-    with pytest.raises(ValueError):
-        enumerate_hurwitz(s3, 3, constraint=(0, 0))
-    with pytest.raises(ValueError):
-        enumerate_hurwitz(s3, 3, constraint=(0, 0, 9))
     with pytest.raises(DegreeOverflow):
         enumerate_hurwitz(s3, 6, cap=100)
 

@@ -21,16 +21,6 @@ def test_prime_field_validation():
             PrimeField(bad)
 
 
-def test_prime_field_arithmetic():
-    f = PrimeField(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
-    for a in range(1, 7):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
 def test_m0n_count_small():
     # n = 3 is a single configuration: all points pinned.
     assert brute_force_m0n_count(3, 5) == 1

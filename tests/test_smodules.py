@@ -1,15 +1,17 @@
 """Laws of the graded composition engine.
 
 The randomized inputs here are always closed under permuting evaluations:
-that closure (plus distinct shuffle blocks) is what makes the slot quotient
-an exact division, so it is the hypothesis under which the laws are stated.
+that closure (plus distinct shuffle blocks) is what lets one shuffle per slot
+orbit stand for the quotient, so it is the hypothesis under which the laws
+are stated.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -28,8 +30,8 @@ from covermotive.smodules import (
     compose,
     day_convolve,
     forget_class,
+    set_partitions,
     shift_root,
-    shuffle_blocks,
     stats,
     unit_i1,
     unit_i2,
@@ -157,25 +159,27 @@ def test_day_convolve_degree_filter():
     assert day_convolve(x, x, degrees={3}).degrees() == [3]
 
 
-def test_shuffle_blocks_cardinalities():
-    assert len(shuffle_blocks((1, 1, 1))) == 6
-    assert len(shuffle_blocks((2, 1))) == 3
-    assert len(shuffle_blocks((2, 2))) == 6
-    assert len(shuffle_blocks((3, 2, 1))) == 60
-    for kvec in ((1,), (2, 3), (1, 1, 2), (2, 2, 2)):
-        n = sum(kvec)
-        want = factorial(n)
-        for k in kvec:
-            want //= factorial(k)
-        assert len(shuffle_blocks(kvec)) == want
+def test_set_partitions_cardinalities():
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+    for n, want in enumerate(bell):
+        parts = set_partitions(n)
+        assert len(parts) == want
+        assert len(set(parts)) == want
+        # Per block-size profile: n! / (prod k_i! * prod mult_j!).
+        profiles = Counter(tuple(sorted(len(b) for b in p)) for p in parts)
+        for sizes, count in profiles.items():
+            denom = prod(factorial(k) for k in sizes)
+            denom *= prod(factorial(mult) for mult in Counter(sizes).values())
+            assert count == factorial(n) // denom
 
 
-def test_shuffle_blocks_structure():
-    for blocks in shuffle_blocks((2, 1, 2)):
-        flat = sorted(p for b in blocks for p in b)
-        assert flat == list(range(5))
-        for b in blocks:
-            assert list(b) == sorted(b)
+def test_set_partitions_structure():
+    for n in range(6):
+        for blocks in set_partitions(n):
+            assert sorted(p for b in blocks for p in b) == list(range(n))
+            for b in blocks:
+                assert list(b) == sorted(b)
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
 
 
 def test_check_rigid_detects_repeats():
@@ -207,6 +211,14 @@ def test_compose_symmetrization_failure_is_detected():
         compose(x, unit_i1(Z2), {2})
 
 
+def test_compose_rejects_asymmetric_outer_even_when_divisible():
+    # Ordered shuffles would give weights 2 and 2, which 2! divides; the
+    # missing partner (1, 0) is what makes the result wrong.
+    x = SModClass([Atom((0, 1), (), ONE, 2)])
+    with pytest.raises(InexactDivision):
+        compose(x, unit_i1(Z2), {2})
+
+
 def test_compose_degree_two_by_hand():
     # Outer: both slots demand root class 0.  Inner: one rooted degree-1
     # generator per class.  The only composite keeps the evaluations.
@@ -216,8 +228,8 @@ def test_compose_degree_two_by_hand():
     )
     out = compose(x, w, {2})
     assert out.part(2) == (Atom((0, 0), (), Q, 1),)
-    # Mixed roots: slots 0 and 1 pick distinct inners, two shuffles, exact
-    # division by 2! merges them into weight 1 atoms.
+    # Mixed roots: slots 0 and 1 pick distinct inners.  The outer atoms
+    # (0, 1) and (1, 0) each take the one partition {0}, {1}, giving weight 1.
     y = _symmetrized([Atom((0, 1), (), ONE, 1)])
     out2 = compose(y, w, {2})
     q2 = MotivePoly.of([0, 0, 1])
