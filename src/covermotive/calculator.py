@@ -182,15 +182,28 @@ class Calculator:
         return shift_root(self.bbar_module(n - 1), self.group)
 
     def _term_atoms(self, n: int) -> tuple[tuple[Atom, ...], tuple[Atom, ...], list[Atom]]:
-        """Degree-n atoms of the three recursion terms: slots, edge unit, ordered pairs."""
+        """Degree-n atoms of the three recursion terms: slots, edge unit, ordered pairs.
+
+        The ordered pairs are tails attached at a unit pair (c, iota(c)), so
+        the c-tails are convolved with the iota(c)-tails, one class c at a time.
+        """
         dbar = self.dbar_module(n)
-        i2 = unit_i2(self.group)
-        slots = unit_i1(self.group).union(dbar)
-        pairs = {a.evals for a in i2.part(2)}
+        tails: dict[tuple[int, ...], list[Atom]] = {}
+        for a in dbar.atoms():
+            tails.setdefault(a.attach, []).append(a)
+        pairs = [
+            atom
+            for c in range(self.conj.count)
+            for atom in day_convolve(
+                SModClass(tails.get((c,), ())),
+                SModClass(tails.get((self.iota(c),), ())),
+                degrees={n},
+            ).part(n)
+        ]
         return (
-            compose(self.open_module(n), slots, {n}).part(n),
-            compose(i2, dbar, {n}).part(n),
-            [a for a in day_convolve(dbar, dbar, degrees={n}).part(n) if a.attach in pairs],
+            compose(self.open_module(n), unit_i1(self.group).union(dbar), {n}).part(n),
+            compose(unit_i2(self.group), dbar, {n}).part(n),
+            pairs,
         )
 
     def terms(self, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:

@@ -285,6 +285,18 @@ def cmd_hurwitz(args) -> int:
     _require_n(args, 1)
     group = _load_group(args)
     cap = _cap_override(DEFAULT_TUPLE_CAP)
+    # Entries written: order^(n-1) tuples of length n, and with --orbits each
+    # one again for its 2(n-1) braid moves.  The power is clamped as in
+    # _calculator, so a large n builds no huge integer.
+    work = group.order ** min(args.n - 1, cap.bit_length()) * args.n
+    moves = ""
+    if args.orbits:
+        work *= 2 * (args.n - 1)
+        moves = f" and {2 * (args.n - 1)} braid moves each"
+    if work > cap:
+        raise SizeLimit(
+            f"{group.order}^{args.n - 1} tuples of length {args.n}{moves} exceed tuple cap {cap}"
+        )
     vectors = enumerate_hurwitz(group, args.n, cap=cap)
     print(f"product-one tuples for {group.name}, n = {args.n}: {len(vectors)}")
     if args.orbits:

@@ -6,17 +6,21 @@ are plain tuples of element indices.  The braid generator sigma_i replaces
 (g_i, g_{i+1}) by (g_i g_{i+1} g_i^{-1}, g_i); it preserves the product and
 the multiset of conjugacy classes.
 
-Orbit computations are breadth-first closures with lexicographically minimal
-canonical representatives, optionally after quotienting by simultaneous
-conjugation.  Conjugation commutes with every braid move, so quotienting
-before or after taking the closure yields the same partition; the flag is
-just a choice of which set the orbits live on.
+Orbit computations are closures read off a conjugation table
+rows[h][g] = h g h^{-1}, built once per call: sigma_i sends (a, b) to
+(rows[a][b], a) and its inverse sends (a, b) to (b, rows[b^{-1}][a]).
+Optionally the orbits are taken after quotienting by simultaneous
+conjugation.  A vector's class is then written as its lexicographically
+least image under the |G| rows, and that minimum is recorded for every
+image, so each conjugation class of vectors is canonicalized once.
+Conjugation commutes with every braid move, so quotienting before or after
+taking the closure yields the same partition; the flag is just a choice of
+which set the orbits live on.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import DegreeOverflow
@@ -37,12 +41,13 @@ def enumerate_hurwitz(
         raise ValueError(f"need at least one entry, got {n}")
     if group.order ** (n - 1) > cap:
         raise DegreeOverflow(f"{group.order}^{n - 1} exceeds cap {cap}")
+    table, inverse = group.table, group.inverse
     out = []
     for prefix in itertools.product(range(group.order), repeat=n - 1):
         acc = group.identity
         for g in prefix:
-            acc = group.mul(acc, g)
-        out.append(prefix + (group.inv(acc),))
+            acc = table[acc][g]
+        out.append(prefix + (inverse[acc],))
     return out
 
 
@@ -54,21 +59,6 @@ def braid_generator(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int
     a, b = v[i - 1], v[i]
     conj_b = group.mul(group.mul(a, b), group.inv(a))
     return v[: i - 1] + (conj_b, a) + v[i + 1 :]
-
-
-def _braid_generator_inv(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int, ...]:
-    a, b = v[i - 1], v[i]
-    return v[: i - 1] + (b, group.mul(group.mul(group.inv(b), a), b)) + v[i + 1 :]
-
-
-def conjugate_vector(group: FiniteGroup, h: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    hinv = group.inv(h)
-    return tuple(group.mul(group.mul(h, g), hinv) for g in v)
-
-
-def canonical_under_conjugation(group: FiniteGroup, v: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically minimal simultaneous conjugate of v."""
-    return min(conjugate_vector(group, h, v) for h in range(group.order))
 
 
 def braid_orbits(
@@ -83,28 +73,46 @@ def braid_orbits(
     sorted by their minimal member, members sorted within each orbit, so the
     output is independent of input order and of the closure schedule.
     """
-    normalize = (
-        (lambda v: canonical_under_conjugation(group, v)) if mod_conjugation else (lambda v: v)
-    )
+    table, inverse = group.table, group.inverse
+    rows = [
+        tuple(table[table[h][g]][inverse[h]] for g in range(group.order))
+        for h in range(group.order)
+    ]
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def least_conjugate(v: tuple[int, ...]) -> tuple[int, ...]:
+        least = canonical.get(v)
+        if least is None:
+            images = [tuple(map(row.__getitem__, v)) for row in rows]
+            least = min(images)
+            canonical.update(dict.fromkeys(images, least))
+        return least
+
+    normalize = least_conjugate if mod_conjugation else (lambda v: v)
+
     todo = {normalize(tuple(v)) for v in vectors}
     orbits = []
-    while todo:
-        seed = min(todo)
+    # Seeds come in increasing order and each is the least member of the
+    # orbit it starts, since the orbit must lie in what is left of todo.
+    for seed in sorted(todo):
+        if seed not in todo:
+            continue
         seen = {seed}
-        queue = deque([seed])
-        while queue:
-            v = queue.popleft()
+        stack = [seed]
+        while stack:
+            v = stack.pop()
             for i in range(1, len(v)):
-                for move in (braid_generator, _braid_generator_inv):
-                    w = normalize(move(group, v, i))
+                a, b = v[i - 1], v[i]
+                head, tail = v[: i - 1], v[i + 1 :]
+                for w in (head + (rows[a][b], a) + tail, head + (b, rows[inverse[b]][a]) + tail):
+                    w = normalize(w)
                     if w not in seen:
                         seen.add(w)
-                        queue.append(w)
+                        stack.append(w)
         if not seen <= todo:
             raise ValueError("input vectors are not closed under the braid action")
         todo -= seen
         orbits.append(sorted(seen))
-    orbits.sort(key=lambda orbit: orbit[0])
     return orbits
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from covermotive.calculator import Calculator, build_report
 from covermotive.errors import UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
-from covermotive.smodules import Atom, forget_class
+from covermotive.smodules import Atom, day_convolve, forget_class, unit_i2
 from covermotive.trees import (
     enumerate_stable_trees,
     gerby_markings,
@@ -153,6 +155,20 @@ def test_main_theorem_c2_n8():
     report = _calc(build_cyclic(2)).verify_main_theorem(8)
     assert report.equal
     assert report.lhs == TRIVIAL([1, 99, 715, 715, 99, 1]).scale(128)
+
+
+def test_ordered_pairs_convolve_only_unit_pairs():
+    # Convolving one attachment class at a time gives, as a multiset, the
+    # atoms of the full product of the tails kept at the unit pairs.
+    for group in (build_cyclic(3), build_product_cyclic([2, 2])):
+        calc = Calculator(group)
+        dbar = calc.dbar_module(6)
+        units = {a.evals for a in unit_i2(group).part(2)}
+        full = day_convolve(dbar, dbar, degrees={6}).part(6)
+        expected = Counter(a for a in full if a.attach in units)
+        got = Counter(calc._term_atoms(6)[2])
+        assert got == expected
+        assert len(expected) < len(full)
 
 
 def test_mainprop_identities_n4():

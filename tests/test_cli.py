@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -237,6 +238,25 @@ def test_exit_code_size_limit(capsys):
         assert code == 3
         assert "cap" in err
         assert out == ""
+
+
+def test_hurwitz_degree_cap(capsys, monkeypatch):
+    # The trivial group has one tuple per degree, so only the length of the
+    # tuples and the 2(n-1) braid moves of each can refuse a large n.
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "hurwitz", "--group", "cyclic:1", "--n", "32000", "--orbits")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "cap" in err
+    assert out == ""
+    assert _run(capsys, "hurwitz", "--group", "cyclic:1", "--n", "50", "--orbits")[0] == 0
+    # C2 at n = 4: 8 tuples of length 4 fit a cap of 100; their 6 moves each do not.
+    monkeypatch.setenv("COVERMOTIVE_CAP", "100")
+    assert _run(capsys, "hurwitz", "--group", "cyclic:2", "--n", "4")[0] == 0
+    code, out, err = _run(capsys, "hurwitz", "--group", "cyclic:2", "--n", "4", "--orbits")
+    assert code == 3
+    assert "cap" in err
+    assert out == ""
 
 
 def test_exit_code_nonabelian(capsys):

@@ -10,6 +10,7 @@ import pytest
 from covermotive.errors import DegreeOverflow
 from covermotive.groups import (
     build_cyclic,
+    build_dihedral,
     build_product_cyclic,
     build_symmetric,
     conjugacy_classes,
@@ -17,11 +18,10 @@ from covermotive.groups import (
 from covermotive.hurwitz import (
     braid_generator,
     braid_orbits,
-    canonical_under_conjugation,
-    conjugate_vector,
     enumerate_hurwitz,
     nielsen_count,
 )
+from hurwitz_oracle import canonical_under_conjugation, conjugate_vector
 
 
 def _product(group, v):
@@ -150,24 +150,64 @@ def test_orbits_idempotent_and_schedule_independent():
 
 
 def test_orbits_mod_conjugation_commutes_with_closure():
-    # Quotient of the full-orbit partition equals the partition of quotients.
-    s3 = build_symmetric(3)
-    vectors = enumerate_hurwitz(s3, 3)
-    plain = braid_orbits(s3, vectors)
-    collapsed = sorted(
-        sorted({canonical_under_conjugation(s3, v) for v in o}) for o in plain
-    )
-    merged: dict[tuple, set] = {}
-    for o in collapsed:
-        merged.setdefault(o[0], set()).update(o)
-    got = braid_orbits(s3, vectors, mod_conjugation=True)
-    assert sorted(sorted(s) for s in merged.values()) == sorted(got)
+    # Quotient of the full-orbit partition equals the partition of quotients,
+    # with the quotient taken by the slow oracle.  D4 has a centre of order 2.
+    for group, n in ((build_symmetric(3), 3), (build_symmetric(3), 5), (build_dihedral(4), 5)):
+        vectors = enumerate_hurwitz(group, n)
+        plain = braid_orbits(group, vectors)
+        collapsed = sorted(
+            sorted({canonical_under_conjugation(group, v) for v in o}) for o in plain
+        )
+        merged: dict[tuple, set] = {}
+        for o in collapsed:
+            merged.setdefault(o[0], set()).update(o)
+        got = braid_orbits(group, vectors, mod_conjugation=True)
+        assert sorted(sorted(s) for s in merged.values()) == got
+
+
+def test_orbits_are_single_orbits_of_the_public_move():
+    # Every orbit is closed under braid_generator for each i, and is reached
+    # from its least member by forward moves alone: a finite orbit of a
+    # permutation needs no inverse moves.  Mod conjugation, the images are
+    # read through the oracle's canonical form.
+    for group, n in ((build_symmetric(3), 4), (build_dihedral(4), 4)):
+        vectors = enumerate_hurwitz(group, n)
+        for mod in (False, True):
+            normalize = (
+                (lambda v: canonical_under_conjugation(group, v)) if mod else (lambda v: v)
+            )
+            orbits = braid_orbits(group, vectors, mod_conjugation=mod)
+            for orbit in orbits:
+                members = set(orbit)
+                reached = {orbit[0]}
+                frontier = [orbit[0]]
+                while frontier:
+                    v = frontier.pop()
+                    for i in range(1, n):
+                        w = normalize(braid_generator(group, v, i))
+                        assert w in members
+                        if w not in reached:
+                            reached.add(w)
+                            frontier.append(w)
+                assert reached == members
 
 
 def test_orbits_reject_non_closed_input():
     g = build_cyclic(2)
     with pytest.raises(ValueError):
         braid_orbits(g, [(0, 0, 1, 1)])
+
+
+def test_orbits_mod_conjugation_reject_non_closed_input():
+    s3 = build_symmetric(3)
+    orbit = max(braid_orbits(s3, enumerate_hurwitz(s3, 3), mod_conjugation=True), key=len)
+    assert len(orbit) == 3
+    # A whole conjugation class of vectors, but only one of its braid images.
+    v = orbit[0]
+    with pytest.raises(ValueError):
+        braid_orbits(s3, [conjugate_vector(s3, h, v) for h in range(6)], mod_conjugation=True)
+    with pytest.raises(ValueError):
+        braid_orbits(s3, orbit[1:], mod_conjugation=True)
 
 
 def test_nielsen_count_abelian_is_indicator():
