@@ -12,13 +12,12 @@ from .groups import (
     conjugacy_classes,
 )
 from .hurwitz import braid_generator, braid_orbits, enumerate_hurwitz, nielsen_count
-from .motives import EPoly, MotivePoly, class_m0n, to_hodge_euler, to_poincare
+from .motives import MotivePoly, class_m0n, to_poincare
 from .smodules import (
     Atom,
     SModClass,
     compose,
     day_convolve,
-    forget_class,
     shift_root,
     unit_i1,
     unit_i2,

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
 from .hurwitz import DEFAULT_TUPLE_CAP, braid_orbits, enumerate_hurwitz
-from .motives import format_poly
+from .motives import format_poly, monomial
 from .trees import (
     DEFAULT_MARKING_CAP,
     STABLE_TREE_CAP,
@@ -110,7 +110,7 @@ def _class_report_payload(report) -> dict:
         "group": report.group_name,
         "n": report.n,
         "coefficients": _poly_payload(report.cls),
-        "hodge_euler": str(report.hodge_euler),
+        "hodge_euler": report.hodge_euler,
         "poincare": None if report.poincare is None else [str(c) for c in report.poincare],
     }
     if report.per_marking is not None:
@@ -251,7 +251,7 @@ def cmd_class(args) -> int:
         print(f"class for {label}: {report.cls}")
         print(f"hodge-euler: {report.hodge_euler}")
         if report.poincare is not None:
-            print(f"poincare: {format_poly(report.poincare, 't')}")
+            print(f"poincare: {format_poly(report.poincare, monomial('t'))}")
         print(f"census: {report.census['topologies']} topologies, "
               f"{report.census['gerby_trees']} marked trees, "
               f"{report.census['admissible_strata']} admissible strata")

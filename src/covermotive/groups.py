@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import MalformedSpec, NotAGroup
 
 MAX_ORDER = 255
@@ -71,6 +69,36 @@ class ClassInvolution:
         return self.mapping[c]
 
 
+def _generators(table: list[list[int]], identity: int) -> list[int]:
+    """Greedy generating set: each element not yet reached from the identity
+    by right multiplication with the chosen generators becomes one."""
+    reached = [False] * len(table)
+    reached[identity] = True
+    gens: list[int] = []
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        frontier = [x for x, r in enumerate(reached) if r]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                row = table[x]
+                for s in gens:
+                    y = row[s]
+                    if not reached[y]:
+                        reached[y] = True
+                        nxt.append(y)
+            frontier = nxt
+    return gens
+
+
+def _light_holds(table: list[list[int]], s: int) -> bool:
+    """(xs)y = x(sy) for all x and y."""
+    col = table[s]
+    return all(table[row[s]] == [row[v] for v in col] for row in table)
+
+
 def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
     n = len(table)
     if n == 0:
@@ -83,8 +111,6 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
         for x in row:
             if not isinstance(x, int) or not 0 <= x < n:
                 raise MalformedSpec(f"table entry {x!r} out of range 0..{n - 1}")
-
-    t = np.asarray(table, dtype=np.int16)
 
     # Identity: a two-sided unit.
     identity = -1
@@ -104,11 +130,17 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
         if inverse[a] < 0:
             raise NotAGroup(f"element {a} has no inverse")
 
-    # Associativity, vectorised: (ab)c against a(bc) for all triples.
-    lhs = t[t]
-    rhs = t[:, t]
-    if not np.array_equal(lhs, rhs):
-        a, b, c = (int(i) for i in np.argwhere(lhs != rhs)[0])
+    # Associativity by Light's test.  The elements s with (xs)y = x(sy) for
+    # all x, y are closed under products and contain the identity, so it is
+    # enough to test s on a generating set.
+    if not all(_light_holds(table, s) for s in _generators(table, identity)):
+        a, b, c = next(
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if table[table[a][b]][c] != table[a][table[b][c]]
+        )
         raise NotAGroup(f"associativity fails at ({a}, {b}, {c}): "
                         f"({a}*{b})*{c} = {table[table[a][b]][c]} but "
                         f"{a}*({b}*{c}) = {table[a][table[b][c]]}")

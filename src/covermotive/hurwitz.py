@@ -39,7 +39,9 @@ def enumerate_hurwitz(
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
-    if group.order ** (n - 1) > cap:
+    # The power is clamped as in the CLI: order ** cap.bit_length() > cap
+    # whenever order > 1, so the decision is the same without a huge integer.
+    if group.order ** min(n - 1, cap.bit_length()) > cap:
         raise DegreeOverflow(f"{group.order}^{n - 1} exceeds cap {cap}")
     table, inverse = group.table, group.inverse
     out = []

@@ -14,7 +14,7 @@ coefficient of q^k as the Betti number b_{2k} gives the Poincare polynomial
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import NegativeCoefficient
 
@@ -85,7 +85,7 @@ class MotivePoly:
         return acc
 
     def __str__(self) -> str:
-        return format_poly(self.coeffs, "q")
+        return format_poly(self.coeffs, monomial("q"))
 
 
 ZERO = MotivePoly(())
@@ -93,8 +93,15 @@ ONE = MotivePoly((1,))
 Q = MotivePoly((0, 1))
 
 
-def format_poly(coeffs: tuple[int, ...], var: str) -> str:
-    """Render ascending coefficients as a human-readable polynomial string."""
+def monomial(*variables: str) -> Callable[[int], str]:
+    """Head for format_poly: the k-th power of q written as the product of
+    the k-th powers of the variables, so ("u", "v") reads q -> uv."""
+    return lambda k: "*".join(v if k == 1 else f"{v}^{k}" for v in variables)
+
+
+def format_poly(coeffs: tuple[int, ...], head: Callable[[int], str]) -> str:
+    """Render ascending coefficients as a human-readable polynomial string,
+    highest power first, with head(k) naming the k-th power."""
     if not coeffs:
         return "0"
     parts: list[str] = []
@@ -105,8 +112,7 @@ def format_poly(coeffs: tuple[int, ...], var: str) -> str:
         if k == 0:
             term = str(abs(c))
         else:
-            head = var if k == 1 else f"{var}^{k}"
-            term = head if abs(c) == 1 else f"{abs(c)}*{head}"
+            term = head(k) if abs(c) == 1 else f"{abs(c)}*{head(k)}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -125,63 +131,6 @@ def class_m0n(n: int) -> MotivePoly:
     for k in range(2, n - 1):
         acc = acc * MotivePoly((-k, 1))
     return acc
-
-
-@dataclass(frozen=True)
-class EPoly:
-    """Polynomial in two variables u, v: the Hodge-Euler specialisation.
-
-    Terms are stored as a sorted tuple of ((p, q), coefficient) with nonzero
-    coefficients only.
-    """
-
-    terms: tuple[tuple[tuple[int, int], int], ...] = ()
-
-    @staticmethod
-    def of(terms: dict[tuple[int, int], int]) -> "EPoly":
-        kept = {pq: c for pq, c in terms.items() if c != 0}
-        return EPoly(tuple(sorted(kept.items())))
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        acc = dict(self.terms)
-        for pq, c in other.terms:
-            acc[pq] = acc.get(pq, 0) + c
-        return EPoly.of(acc)
-
-    def __mul__(self, other: "EPoly") -> "EPoly":
-        acc: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self.terms:
-            for (p2, q2), c2 in other.terms:
-                key = (p1 + p2, q1 + q2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return EPoly.of(acc)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        # Highest total weight first, then higher p first.
-        for (p, qexp), c in sorted(self.terms, key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0])):
-            factors = []
-            if p:
-                factors.append("u" if p == 1 else f"u^{p}")
-            if qexp:
-                factors.append("v" if qexp == 1 else f"v^{qexp}")
-            body = "*".join(factors) if factors else ""
-            if body:
-                term = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            else:
-                term = str(abs(c))
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-
-def to_hodge_euler(p: MotivePoly) -> EPoly:
-    """Substitute q -> uv.  Multiplicative by construction."""
-    return EPoly.of({(k, k): c for k, c in enumerate(p.coeffs)})
 
 
 def to_poincare(p: MotivePoly) -> tuple[int, ...]:

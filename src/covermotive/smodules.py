@@ -47,7 +47,7 @@ from .errors import (
     NonFreeAction,
 )
 from .groups import FiniteGroup, class_involution, conjugacy_classes
-from .motives import ONE, ZERO, MotivePoly
+from .motives import ONE, MotivePoly
 
 
 class EngineStats:
@@ -109,14 +109,6 @@ class SModClass:
 
     def __repr__(self) -> str:
         return f"SModClass({self.atoms()!r})"
-
-
-def forget_class(x: SModClass, n: int) -> MotivePoly:
-    """Total class of the degree-n part."""
-    acc = ZERO
-    for a in x.part(n):
-        acc = acc + a.cls.scale(a.weight)
-    return acc
 
 
 def unit_i1(group: FiniteGroup) -> SModClass:

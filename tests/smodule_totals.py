@@ -1,0 +1,15 @@
+"""Total class of one degree of an S-module, for tests that compare modules
+against stratification classes."""
+
+from __future__ import annotations
+
+from covermotive.motives import ZERO, MotivePoly
+from covermotive.smodules import SModClass
+
+
+def forget_class(x: SModClass, n: int) -> MotivePoly:
+    """Total class of the degree-n part."""
+    acc = ZERO
+    for a in x.part(n):
+        acc = acc + a.cls.scale(a.weight)
+    return acc

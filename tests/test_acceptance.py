@@ -36,7 +36,6 @@ from covermotive.smodules import (
     Atom,
     SModClass,
     compose,
-    forget_class,
     set_partitions,
     shift_root,
     stats,
@@ -44,6 +43,7 @@ from covermotive.smodules import (
     unit_i2,
 )
 from covermotive.trees import enumerate_stable_trees
+from smodule_totals import forget_class
 
 MATRIX_NS = (4, 5, 6)
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import covermotive
 from covermotive.cli import main
 
 
@@ -310,3 +315,18 @@ def test_exit_code_degree_too_small(capsys, argv):
     assert code == 2
     assert "error:" in err and "--n" in err
     assert out == ""
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # The child imports the same covermotive package as this process.
+    package_root = str(Path(covermotive.__file__).resolve().parent.parent)
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import covermotive.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        check=True,
+        env=env,
+        text=True,
+    )
+    assert proc.stdout == "False\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from covermotive.errors import MalformedSpec, NotAGroup
@@ -134,7 +136,7 @@ def test_cayley_validation_catches_broken_tables():
     # (1*1)*2 = 0*2 = 2 while 1*(1*2) = 1*0 = 1.
     with pytest.raises(NotAGroup) as exc:
         build_from_cayley([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    assert "associativity" in str(exc.value) or "inverse" in str(exc.value)
+    assert str(exc.value) == "associativity fails at (1, 1, 2): (1*1)*2 = 2 but 1*(1*2) = 1"
 
     # Shape and range errors are malformed specs, not group failures.
     with pytest.raises(MalformedSpec):
@@ -143,6 +145,49 @@ def test_cayley_validation_catches_broken_tables():
         build_from_cayley([[0, 7], [7, 0]])
     with pytest.raises(MalformedSpec):
         build_from_cayley([])
+
+
+def test_associativity_checks_every_generator():
+    # A loop of order 6: two-sided identity 0 and two-sided inverses, but not
+    # associative.  Its greedy generators are 1 and 2; (xs)y = x(sy) holds
+    # for every x, y when s = 1 and fails only when s = 2, so a check of the
+    # first generator alone would accept it.
+    loop = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ]
+    with pytest.raises(NotAGroup) as exc:
+        build_from_cayley(loop)
+    assert str(exc.value) == "associativity fails at (2, 2, 4): (2*2)*4 = 3 but 2*(2*4) = 2"
+
+
+def test_largest_builtins_keep_identity_and_inverses():
+    c255 = build_cyclic(255)
+    assert (c255.order, c255.identity) == (255, 0)
+    assert c255.inverse == tuple(-a % 255 for a in range(255))
+
+    # Element a0 + 3*a1 + 15*a2 is (a0, a1, a2) in C3 x C5 x C17.
+    p = build_product_cyclic([3, 5, 17])
+    assert (p.order, p.identity) == (255, 0)
+    assert p.inverse == tuple(
+        -a % 3 + 3 * (-(a // 3) % 5) + 15 * (-(a // 15) % 17) for a in range(255)
+    )
+
+    # Element e*127 + r is reflection^e * rotation^r; reflections are involutions.
+    d = build_dihedral(127)
+    assert (d.order, d.identity) == (254, 0)
+    assert d.inverse == tuple(-r % 127 for r in range(127)) + tuple(range(127, 254))
+
+    s5 = build_symmetric(5)
+    perms = sorted(itertools.permutations(range(5)))
+    assert (s5.order, s5.identity) == (120, 0)
+    assert s5.inverse == tuple(
+        perms.index(tuple(sorted(range(5), key=p.__getitem__))) for p in perms
+    )
 
 
 def test_order_cap():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -46,6 +47,14 @@ def test_enumeration_guards():
         enumerate_hurwitz(s3, 0)
     with pytest.raises(DegreeOverflow):
         enumerate_hurwitz(s3, 6, cap=100)
+
+
+def test_enumeration_guard_refuses_large_degree_at_once():
+    # The cap check must not build order^(n-1) as an integer first.
+    start = time.perf_counter()
+    with pytest.raises(DegreeOverflow, match=r"^3\^29999999 exceeds cap 10$"):
+        enumerate_hurwitz(build_cyclic(3), 3 * 10**7, cap=10)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_braid_generator_preserves_invariants():

@@ -11,11 +11,10 @@ from covermotive.motives import (
     ONE,
     Q,
     ZERO,
-    EPoly,
     MotivePoly,
     class_m0n,
     format_poly,
-    to_hodge_euler,
+    monomial,
     to_poincare,
 )
 
@@ -84,7 +83,7 @@ def test_str_rendering():
     assert str(MotivePoly.of([8, 8])) == "8*q + 8"
     assert str(MotivePoly.of([-2, 1])) == "q - 2"
     assert str(MotivePoly.of([1, 16, 16, 1])) == "q^3 + 16*q^2 + 16*q + 1"
-    assert format_poly((1, 0, 1), "t") == "t^2 + 1"
+    assert format_poly((1, 0, 1), monomial("t")) == "t^2 + 1"
 
 
 def test_class_m0n_small_values():
@@ -97,20 +96,13 @@ def test_class_m0n_small_values():
 
 
 def test_hodge_euler_specialisation():
-    e = to_hodge_euler(MotivePoly.of([8, 8]))
-    assert e == EPoly.of({(0, 0): 8, (1, 1): 8})
-    assert str(e) == "8*u*v + 8"
-    # Multiplicative: q -> uv is a ring map.
-    a = MotivePoly.of([1, 2])
-    b = MotivePoly.of([3, 0, 1])
-    assert to_hodge_euler(a * b) == to_hodge_euler(a) * to_hodge_euler(b)
-    assert to_hodge_euler(a + b) == to_hodge_euler(a) + to_hodge_euler(b)
+    assert format_poly(MotivePoly.of([8, 8]).coeffs, monomial("u", "v")) == "8*u*v + 8"
 
 
-def test_epoly_str_orders_by_weight():
-    e = EPoly.of({(0, 0): 1, (2, 2): 1, (1, 1): -5})
-    assert str(e) == "u^2*v^2 - 5*u*v + 1"
-    assert str(EPoly.of({})) == "0"
+def test_hodge_euler_format_orders_by_weight():
+    uv = monomial("u", "v")
+    assert format_poly(MotivePoly.of([1, -5, 1]).coeffs, uv) == "u^2*v^2 - 5*u*v + 1"
+    assert format_poly(ZERO.coeffs, uv) == "0"
 
 
 def test_poincare_reading():

@@ -29,13 +29,13 @@ from covermotive.smodules import (
     _check_rigid,
     compose,
     day_convolve,
-    forget_class,
     set_partitions,
     shift_root,
     stats,
     unit_i1,
     unit_i2,
 )
+from smodule_totals import forget_class
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
