@@ -30,7 +30,7 @@ from .trees import (
     export_dot,
     gerby_markings,
     is_admissible,
-    stratum_class,
+    profile_counts,
 )
 
 __version__ = "0.1.0"

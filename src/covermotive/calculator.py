@@ -1,7 +1,7 @@
 """Two independent routes to the class of compactified cover moduli.
 
-Route one stratifies: enumerate stable marked trees, keep the admissible
-markings, and sum one moduli factor per vertex.  Route two recurses: express
+Route one stratifies: over stable marked trees, keep the admissible
+markings and sum one moduli factor per vertex.  Route two recurses: express
 the degree-n class through the composition calculus applied to the open part
 and to lower-degree tail classes.  The headline check is that the two routes
 agree, degree by degree and group by group; the three stratification
@@ -18,10 +18,11 @@ classes are chosen, each edge mark is forced to the product of the leaf marks
 below it, and every vertex away from the root then multiplies to the identity
 by construction.  Only the root condition can fail: the leaf marks must
 multiply to the identity.  So the sweep lists the product-one leaf tuples
-once and sums the strata over topologies once, grouped by valence profile.
-The brute-force sweep in tests/test_calculator.py marks every edge freely
-and checks every vertex (trees.gerby_markings, trees.is_admissible); it is
-the oracle for this shortcut.
+once and sums the strata over valence profiles, weighted by
+trees.profile_counts, without building a tree.  The brute-force sweep in
+tests/test_calculator.py enumerates the trees, marks every edge freely and
+checks every vertex (trees.gerby_markings, trees.is_admissible); it is the
+oracle for both shortcuts.
 
 Tail tables are built strictly bottom-up: the degree-n comparison consumes
 stratification values only in degrees below n, so each level of the ladder
@@ -31,7 +32,6 @@ tests the recursion against independently computed lower levels.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NegativeCoefficient, UnsupportedNonabelian
@@ -47,7 +47,13 @@ from .smodules import (
     unit_i1,
     unit_i2,
 )
-from .trees import STABLE_TREE_CAP, NTree, enumerate_stable_trees, stratum_class_of_topology
+from .trees import (
+    STABLE_TREE_CAP,
+    NTree,
+    enumerate_stable_trees,
+    profile_counts,
+    stratum_class_of_topology,
+)
 
 
 @dataclass
@@ -91,16 +97,13 @@ class Calculator:
         self.conj = conjugacy_classes(group)
         self.iota = class_involution(group)
         self.tree_cap = tree_cap
-        self._topologies: dict[int, list[NTree]] = {}
         self._sweeps: dict[int, StrataSweep] = {}
         self._terms: dict[int, tuple[MotivePoly, MotivePoly, MotivePoly]] = {}
 
     # ---- stratification route ----
 
     def topologies(self, n: int) -> list[NTree]:
-        if n not in self._topologies:
-            self._topologies[n] = enumerate_stable_trees(n, self.tree_cap)
-        return self._topologies[n]
+        return enumerate_stable_trees(n, self.tree_cap)
 
     def sweep(self, n: int) -> StrataSweep:
         """Sum stratum classes over every admissible marking of every topology.
@@ -122,11 +125,7 @@ class Calculator:
             if acc == group.identity:
                 markings.append(cvec)
 
-        trees = self.topologies(n)
-        profiles = Counter(
-            tuple(sorted(nt.tree.valence(u) for u in range(nt.tree.vertex_count)))
-            for nt in trees
-        )
+        profiles = profile_counts(n, self.tree_cap)
         strata = v_w = e_w = ZERO
         for valences, count in profiles.items():
             contrib = stratum_class_of_topology(valences).scale(count)
@@ -135,6 +134,7 @@ class Calculator:
             e_w = e_w + contrib.scale(len(valences) - 1)
 
         hits = len(markings)
+        topology_count = sum(profiles.values())
         sweep = StrataSweep(
             n=n,
             per_marking=dict.fromkeys(markings, strata),
@@ -142,8 +142,8 @@ class Calculator:
             vertex_weighted=v_w.scale(hits),
             edge_weighted=e_w.scale(hits),
             inner_flag_weighted=e_w.scale(2 * hits),  # flags minus leaves
-            topology_count=len(trees),
-            admissible_count=hits * len(trees),
+            topology_count=topology_count,
+            admissible_count=hits * topology_count,
         )
         self._sweeps[n] = sweep
         return sweep
@@ -304,10 +304,11 @@ def build_report(
     except NegativeCoefficient:
         poincare = None
     sweep = calc.sweep(n)
-    ncls = calc.conj.count
-    gerby_total = 0
-    for nt in calc.topologies(n):
-        gerby_total += ncls ** (n + len(nt.tree.edges()))
+    # A tree with E edges (E + 1 vertices) carries classes^(n + E) markings.
+    gerby_total = sum(
+        count * calc.conj.count ** (n + len(profile) - 1)
+        for profile, count in profile_counts(n, calc.tree_cap).items()
+    )
     census = {
         "topologies": sweep.topology_count,
         "gerby_trees": gerby_total,

@@ -3,7 +3,7 @@
 Subcommands:
 
 * group    - build a group and print its conjugacy data
-* trees    - enumerate stable trees, optionally with class markings
+* trees    - census of stable trees, optionally with class markings
 * class    - compute the compactified class for a group and degree
 * verify   - check stratification against recursion, exit 0 only on agreement
 * hurwitz  - enumerate product-one tuples and braid orbits
@@ -24,11 +24,11 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .calculator import Calculator, build_report
 from .errors import (
-    CapExceeded,
     DegreeOverflow,
     MalformedSpec,
     NotAGroup,
@@ -43,8 +43,7 @@ from .trees import (
     STABLE_TREE_CAP,
     enumerate_stable_trees,
     export_dot,
-    gerby_markings,
-    is_admissible,
+    profile_counts,
 )
 
 SCHEMA_VERSION = 1
@@ -156,45 +155,48 @@ def cmd_group(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    # A row depends on its tree only through the edge count E: E + 1 vertices,
+    # classes^(n + E) markings, and the sweep's product-one leaf tuples as the
+    # admissible ones.  Rows go by E, as enumerate_stable_trees orders them.
     _require_n(args, 3)
-    trees = enumerate_stable_trees(args.n, cap=_cap_override(args.cap))
+    n, tree_cap = args.n, _cap_override(STABLE_TREE_CAP)
+    per_edges = Counter()
+    for profile, count in profile_counts(n, tree_cap).items():
+        per_edges[len(profile) - 1] += count
+    columns = {e: [e + 1, e] for e in per_edges}
     group = None
     if args.group or getattr(args, "group_file", None):
         group = _load_group(args)
-    rows = []
-    total_gerby = 0
-    total_admissible = 0
-    for idx, nt in enumerate(trees):
-        tree = nt.tree
-        row = {
-            "topology": idx,
-            "vertices": tree.vertex_count,
-            "edges": len(tree.edges()),
-        }
-        if group is not None:
-            marked = gerby_markings(nt, group, cap=_cap_override(DEFAULT_MARKING_CAP))
-            admissible = sum(1 for gt in marked if is_admissible(group, gt))
-            row["gerby"] = len(marked)
-            row["admissible"] = admissible
-            total_gerby += len(marked)
-            total_admissible += admissible
-        rows.append(row)
-        if args.dot:
-            out = Path(args.dot)
-            out.mkdir(parents=True, exist_ok=True)
+        ncls = conjugacy_classes(group).count
+        cap = _cap_override(DEFAULT_MARKING_CAP)
+        most = ncls ** (2 * n - 3)  # on a tree with the most edges, n - 3
+        if most > cap:
+            raise SizeLimit(f"{most} markings exceed cap {cap}")
+        admissible = len(Calculator(group, tree_cap=tree_cap).sweep(n).per_marking)
+        for e, row in columns.items():
+            row += [ncls ** (n + e), admissible]
+    if args.dot:
+        out = Path(args.dot)
+        out.mkdir(parents=True, exist_ok=True)
+        for idx, nt in enumerate(enumerate_stable_trees(n, tree_cap)):
             (out / f"tree_{idx:04d}.dot").write_text(export_dot(nt))
     if args.csv:
         header = ["topology", "vertices", "edges"]
         if group is not None:
             header += ["gerby", "admissible"]
         print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
+        idx = 0
+        for e in sorted(per_edges):
+            tail = ",".join(map(str, columns[e]))
+            sys.stdout.write("".join(f"{i},{tail}\n" for i in range(idx, idx + per_edges[e])))
+            idx += per_edges[e]
     else:
-        print(f"stable trees with {args.n} leaves: {len(trees)} topologies")
+        total = sum(per_edges.values())
+        print(f"stable trees with {n} leaves: {total} topologies")
         if group is not None:
-            print(f"marked trees over {group.name}: {total_gerby}")
-            print(f"admissible marked trees: {total_admissible}")
+            gerby = sum(count * columns[e][2] for e, count in per_edges.items())
+            print(f"marked trees over {group.name}: {gerby}")
+            print(f"admissible marked trees: {total * admissible}")
     return 0
 
 
@@ -330,7 +332,6 @@ def make_parser() -> argparse.ArgumentParser:
     add_group_args(p_trees)
     p_trees.add_argument("--csv", action="store_true", help="emit per-topology census rows")
     p_trees.add_argument("--dot", help="directory for DOT files, one per topology")
-    p_trees.add_argument("--cap", type=int, default=STABLE_TREE_CAP)
     p_trees.set_defaults(func=cmd_trees)
 
     p_class = sub.add_parser("class", help="compute the compactified class")
@@ -366,7 +367,7 @@ def main(argv=None) -> int:
     except (MalformedSpec, NotAGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SizeLimit, CapExceeded, DegreeOverflow) as exc:
+    except (SizeLimit, DegreeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except UnsupportedNonabelian as exc:

@@ -28,10 +28,6 @@ class DegreeOverflow(CoverMotiveError):
     """A tuple enumeration would exceed the configured cap."""
 
 
-class CapExceeded(CoverMotiveError):
-    """A brute-force oracle was asked for more work than its cap allows."""
-
-
 class SizeLimit(CoverMotiveError):
     """A tree or marking enumeration exceeds the configured size cap."""
 

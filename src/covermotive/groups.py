@@ -184,14 +184,10 @@ def build_product_cyclic(ks: list[int]) -> FiniteGroup:
             stride *= k
         return i
 
-    table = []
-    for a in range(order):
-        da = decode(a)
-        row = []
-        for b in range(order):
-            db = decode(b)
-            row.append(encode([(x + y) % k for x, y, k in zip(da, db, ks)]))
-        table.append(row)
+    digits = [decode(i) for i in range(order)]
+    table = [
+        [encode([(x + y) % k for x, y, k in zip(da, db, ks)]) for db in digits] for da in digits
+    ]
     return _validate_table(table, "x".join(f"C{k}" for k in ks))
 
 

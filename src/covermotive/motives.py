@@ -77,13 +77,6 @@ class MotivePoly:
     def scale(self, k: int) -> "MotivePoly":
         return MotivePoly.of(c * k for c in self.coeffs)
 
-    def eval_at(self, x: int) -> int:
-        """Evaluate at an integer, exactly (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         return format_poly(self.coeffs, monomial("q"))
 

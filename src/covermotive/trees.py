@@ -12,7 +12,15 @@ Up to isomorphism they correspond to laminar families over {2, ..., n}: root
 the tree at the vertex holding leaf 1, and record for every edge the set of
 leaf labels behind it.  Members have size between 2 and n - 2 and are
 pairwise nested or disjoint, and every such family arises.  That bijection
-drives the enumerator; an independent brute-force count lives in oracle.py.
+drives the enumerator, which only `trees --dot` and the per-tree flag count
+identity use; tests/oracles.py holds an independent brute-force count.
+
+Every number printed about the strata depends only on how many trees have
+each valence profile, and profile_counts finds those without building a
+tree.  Forgetting leaf n sends an n-tree to an (n-1)-tree plus the site the
+leaf sat at: a vertex of valence v, which had v + 1, or one of the V - 1
+internal and n - 1 leaf edges, which a trivalent vertex holding the leaf
+subdivided.  Each (tree, site) pair arises once.
 
 A marking assigns a conjugacy class to every flag.  The two flags of an edge
 carry classes exchanged by the inversion involution: the local monodromies
@@ -25,12 +33,13 @@ admissible tree propagate uniquely from its leaves.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeLimit, UnsupportedNonabelian
 from .groups import FiniteGroup, class_involution, conjugacy_classes
-from .motives import ZERO, MotivePoly, class_m0n
+from .motives import MotivePoly, class_m0n
 
 STABLE_TREE_CAP = 9
 DEFAULT_MARKING_CAP = 2_000_000
@@ -124,16 +133,14 @@ class NTree:
     def n(self) -> int:
         return len(self.tree.leaves())
 
-    def leaf_of_label(self, label: int) -> int:
-        for f in self.tree.leaves():
-            if self.labels[f] == label:
-                return f
-        raise ValueError(f"no leaf labeled {label}")
-
 
 @dataclass(frozen=True)
 class GerbyTree:
-    """Stable labeled tree with a conjugacy class attached to every flag."""
+    """Stable labeled tree with a conjugacy class attached to every flag.
+
+    With gerby_markings and is_admissible, the brute-force reference of
+    test_sweep_matches_brute_force; perfbench/trace_child.py wraps them too.
+    """
 
     ntree: NTree
     marks: tuple[int, ...]
@@ -216,6 +223,24 @@ def enumerate_stable_trees(n: int, cap: int = STABLE_TREE_CAP) -> list[NTree]:
     return [_tree_from_family(n, fam) for fam in families]
 
 
+def profile_counts(n: int, cap: int = STABLE_TREE_CAP) -> Counter[tuple[int, ...]]:
+    """How many stable n-trees have each sorted valence profile, built leaf by
+    leaf through the forgetful map (module docstring); the totals are A000311."""
+    if n < 3:
+        raise ValueError(f"need at least 3 leaves, got {n}")
+    if n > cap:
+        raise SizeLimit(f"n = {n} exceeds stable tree cap {cap}")
+    counts = Counter({(3,): 1})
+    for leaves in range(3, n):  # add leaf number leaves + 1
+        grown: Counter[tuple[int, ...]] = Counter()
+        for profile, count in counts.items():
+            for i, valence in enumerate(profile):
+                grown[tuple(sorted(profile[:i] + (valence + 1,) + profile[i + 1 :]))] += count
+            grown[(3,) + profile] += count * (len(profile) - 1 + leaves)  # edges
+        counts = grown
+    return counts
+
+
 def gerby_markings(
     nt: NTree, group: FiniteGroup, cap: int = DEFAULT_MARKING_CAP
 ) -> list[GerbyTree]:
@@ -261,20 +286,10 @@ def is_admissible(group: FiniteGroup, gt: GerbyTree) -> bool:
     return True
 
 
-def stratum_class(group: FiniteGroup, gt: GerbyTree) -> MotivePoly:
-    """Product over vertices of the marked-point moduli class, or zero."""
-    if not is_admissible(group, gt):
-        return ZERO
-    tree = gt.ntree.tree
-    acc = MotivePoly((1,))
-    for v in range(tree.vertex_count):
-        acc = acc * class_m0n(tree.valence(v))
-    return acc
-
-
 @lru_cache(maxsize=None)
 def stratum_class_of_topology(n_valences: tuple[int, ...]) -> MotivePoly:
-    """Same product as stratum_class, keyed by the valence profile only."""
+    """Product over vertices of the marked-point moduli class, keyed by the
+    valence profile."""
     acc = MotivePoly((1,))
     for val in n_valences:
         acc = acc * class_m0n(val)

@@ -3,7 +3,9 @@
 Nothing here shares code with the production enumerators: point counts run
 over an explicit prime field, and tree counts are produced by generating raw
 labeled-tree structures and discarding isomorphic duplicates by exhaustive
-bijection search.  Slow on purpose; capped on purpose.
+bijection search.  Slow on purpose; capped on purpose.  The helpers at the
+end read single strata and polynomials the way the brute-force sweep in
+test_calculator.py needs them.
 """
 
 from __future__ import annotations
@@ -11,10 +13,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded
+from covermotive.errors import CoverMotiveError
+from covermotive.groups import FiniteGroup
+from covermotive.motives import ZERO, MotivePoly, class_m0n
+from covermotive.trees import GerbyTree, NTree, is_admissible
 
 DEFAULT_POINT_CAP = 10**8
 DEFAULT_TREE_CAP = 6
+
+
+class CapExceeded(CoverMotiveError):
+    """A brute-force oracle was asked for more work than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -116,3 +125,30 @@ def _isomorphic(t1, t2) -> bool:
         if mapped == edges2:
             return True
     return False
+
+
+def stratum_class(group: FiniteGroup, gt: GerbyTree) -> MotivePoly:
+    """Product over vertices of the marked-point moduli class, or zero."""
+    if not is_admissible(group, gt):
+        return ZERO
+    tree = gt.ntree.tree
+    acc = MotivePoly((1,))
+    for v in range(tree.vertex_count):
+        acc = acc * class_m0n(tree.valence(v))
+    return acc
+
+
+def leaf_of_label(nt: NTree, label: int) -> int:
+    """The leaf flag of nt that carries label."""
+    for f in nt.tree.leaves():
+        if nt.labels[f] == label:
+            return f
+    raise ValueError(f"no leaf labeled {label}")
+
+
+def eval_at(poly: MotivePoly, x: int) -> int:
+    """Evaluate at an integer, exactly (Horner)."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc

@@ -31,7 +31,6 @@ from covermotive.groups import (
 )
 from covermotive.hurwitz import braid_generator, braid_orbits, enumerate_hurwitz
 from covermotive.motives import MotivePoly, class_m0n, to_poincare
-from covermotive.oracle import brute_force_m0n_count, brute_force_tree_count
 from covermotive.smodules import (
     Atom,
     SModClass,
@@ -42,7 +41,8 @@ from covermotive.smodules import (
     unit_i1,
     unit_i2,
 )
-from covermotive.trees import enumerate_stable_trees
+from covermotive.trees import enumerate_stable_trees, profile_counts
+from oracles import brute_force_m0n_count, brute_force_tree_count, eval_at
 from smodule_totals import forget_class
 
 MATRIX_NS = (4, 5, 6)
@@ -137,7 +137,7 @@ def test_criterion_04_trivial_group_base_classes():
     for n, want in expected.items():
         got = calc.class_bbar(n)
         ok = ok and got == want
-        ok = ok and got.eval_at(1) == euler[n]
+        ok = ok and eval_at(got, 1) == euler[n]
     ok = ok and calc.class_bbar(6).coeffs[1] == 16
     assert _report(
         4,
@@ -171,6 +171,8 @@ def test_criterion_06_tree_census():
     oracle_n6 = brute_force_tree_count(6)
     counts[6] = len(enumerate_stable_trees(6))
     ok = ok and counts[6] == oracle_n6
+    for n, count in counts.items():
+        ok = ok and sum(profile_counts(n).values()) == count
     for n in (3, 4, 5, 6):
         for nt in enumerate_stable_trees(n):
             tree = nt.tree
@@ -179,7 +181,7 @@ def test_criterion_06_tree_census():
             ok = ok and tree.vertex_count == len(tree.edges()) + 1
     assert _report(
         6,
-        "tree census 1/4/26 matches the oracle and the size bounds hold",
+        "tree census 1/4/26 matches the oracle and the profile counts; size bounds hold",
         ok,
         f"oracle count at 6 leaves: {oracle_n6}",
     )
@@ -190,7 +192,7 @@ def test_criterion_07_point_counts():
     for n in (3, 4, 5, 6):
         poly = class_m0n(n)
         for p in (5, 7, 11, 13):
-            ok = ok and poly.eval_at(p) == brute_force_m0n_count(n, p)
+            ok = ok and eval_at(poly, p) == brute_force_m0n_count(n, p)
     assert _report(
         7,
         "marked-point moduli polynomial matches prime-field point counts",

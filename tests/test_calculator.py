@@ -15,9 +15,9 @@ from covermotive.trees import (
     enumerate_stable_trees,
     gerby_markings,
     is_admissible,
-    stratum_class,
     stratum_class_of_topology,
 )
+from oracles import leaf_of_label, stratum_class
 from smodule_totals import forget_class
 
 TRIVIAL = MotivePoly.of  # shorthand for expected values
@@ -213,7 +213,7 @@ def _brute_force_sweep(group, n):
     per_topology = []
     for nt in enumerate_stable_trees(n):
         tree = nt.tree
-        leaves = [nt.leaf_of_label(label) for label in range(1, n + 1)]
+        leaves = [leaf_of_label(nt, label) for label in range(1, n + 1)]
         hits = 0
         for gt in gerby_markings(nt, group):
             if not is_admissible(group, gt):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -233,9 +234,12 @@ def test_exit_code_not_a_group(capsys, tmp_path):
 
 
 def test_exit_code_size_limit(capsys):
-    code, _, err = _run(capsys, "trees", "--n", "12")
-    assert code == 3
-    assert "cap" in err
+    # Counting trees costs nothing, so the tree cap must still refuse.
+    for n in ("10", "12"):
+        code, out, err = _run(capsys, "trees", "--n", n)
+        assert code == 3
+        assert "cap" in err
+        assert out == ""
     # One class tuple per degree, so only the tree cap can refuse n = 10; it
     # must do so before the tail sweeps and the recursion start.
     for command in ("class", "verify"):
@@ -265,9 +269,11 @@ def test_hurwitz_degree_cap(capsys, monkeypatch):
 
 
 def test_exit_code_nonabelian(capsys):
-    code, _, err = _run(capsys, "verify", "--group", "symmetric:3", "--n", "4")
-    assert code == 4
-    assert "nonabelian" in err
+    for command in ("verify", "trees"):
+        code, out, err = _run(capsys, command, "--group", "symmetric:3", "--n", "4")
+        assert code == 4
+        assert "nonabelian" in err
+        assert out == ""
 
 
 def test_exit_code_marking_cap(capsys):
@@ -277,6 +283,13 @@ def test_exit_code_marking_cap(capsys):
         assert code == 3
         assert "cap" in err
         assert out == ""
+    # 3^15 markings of a tree with 6 edges exceed the cap.
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "trees", "--group", "cyclic:3", "--n", "9")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "cap" in err
+    assert out == ""
 
 
 def test_marking_cap_env_override(capsys, monkeypatch):
@@ -317,16 +330,54 @@ def test_exit_code_degree_too_small(capsys, argv):
     assert out == ""
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # The child imports the same covermotive package as this process.
+def _child_env() -> dict[str, str]:
+    """Environment for a child that imports the same package as this process."""
     package_root = str(Path(covermotive.__file__).resolve().parent.parent)
     path = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = {k: v for k, v in os.environ.items() if k != "COVERMOTIVE_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    return env
+
+
+def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import covermotive.cli, sys; print('numpy' in sys.modules)"],
         capture_output=True,
         check=True,
-        env=env,
+        env=_child_env(),
         text=True,
     )
     assert proc.stdout == "False\n"
+
+
+# stdout of the tree-bound commands as printed by the enumerating engine,
+# before tree counts came from valence profiles; each took 80-417 s then.
+GOLDEN = {
+    "trees --n 9": (
+        46, "2b39bce743474803be6558b0aaa838cd5943af4df71dbe3cbd8189225f71c7c4"
+    ),
+    "trees --n 9 --csv": (
+        7149266, "6bde1621ec9f2509530927ccdf0c37043e0880c7f698a29fc9d46b329aa25dd1"
+    ),
+    "class --group cyclic:1 --n 9": (
+        265, "a5b8dc6c61e2ef90e4e05e5699b9303744880843b770060c967d7ca155b08443"
+    ),
+    "class --group cyclic:2 --n 9 --per-marking": (
+        16456, "276c06948925ea2017df99c22f642d30693d15a0ec357e4311259385d2de2ad1"
+    ),
+    "trees --n 6 --group product_cyclic:2,2 --csv": (
+        4519, "d3bb3a350b6b41c5edf60d494cd93bdee39320ba5562d3c3fb03bf2cb11f6b18"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_stdout(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "covermotive.cli", *command.split()],
+        capture_output=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[command]

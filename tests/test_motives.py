@@ -17,6 +17,7 @@ from covermotive.motives import (
     monomial,
     to_poincare,
 )
+from oracles import eval_at
 
 
 def test_of_trims_trailing_zeros():
@@ -51,8 +52,8 @@ def test_mul_against_random_evaluation():
         a = MotivePoly.of(rng.randrange(-9, 10) for _ in range(rng.randrange(0, 5)))
         b = MotivePoly.of(rng.randrange(-9, 10) for _ in range(rng.randrange(0, 5)))
         x = rng.randrange(-20, 21)
-        assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
-        assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
+        assert eval_at(a * b, x) == eval_at(a, x) * eval_at(b, x)
+        assert eval_at(a + b, x) == eval_at(a, x) + eval_at(b, x)
 
 
 def test_mul_unit_and_zero_fast_paths():
@@ -73,7 +74,7 @@ def test_scale():
 def test_eval_at_matches_horner_free_sum():
     a = MotivePoly.of([2, -1, 0, 4])
     for x in (-3, 0, 1, 5):
-        assert a.eval_at(x) == 2 - x + 4 * x**3
+        assert eval_at(a, x) == 2 - x + 4 * x**3
 
 
 def test_str_rendering():

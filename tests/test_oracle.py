@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from covermotive.errors import CapExceeded
-from covermotive.oracle import (
+from oracles import (
+    CapExceeded,
     PrimeField,
     _labeled_trees,
     brute_force_m0n_count,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from covermotive.errors import SizeLimit, UnsupportedNonabelian
@@ -12,7 +14,6 @@ from covermotive.groups import (
     class_involution,
 )
 from covermotive.motives import ONE, ZERO, MotivePoly
-from covermotive.oracle import brute_force_tree_count
 from covermotive.trees import (
     GerbyTree,
     NTree,
@@ -21,9 +22,10 @@ from covermotive.trees import (
     export_dot,
     gerby_markings,
     is_admissible,
-    stratum_class,
+    profile_counts,
     stratum_class_of_topology,
 )
+from oracles import brute_force_tree_count, stratum_class
 
 STAR4 = NTree(Tree((0, 1, 2, 3), (0, 0, 0, 0)), (1, 2, 3, 4))
 
@@ -125,12 +127,28 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_enumeration_guards():
-    with pytest.raises(ValueError):
-        enumerate_stable_trees(2)
-    with pytest.raises(SizeLimit):
-        enumerate_stable_trees(10)
-    with pytest.raises(SizeLimit):
-        enumerate_stable_trees(5, cap=4)
+    for count in (enumerate_stable_trees, profile_counts):
+        with pytest.raises(ValueError):
+            count(2)
+        with pytest.raises(SizeLimit):
+            count(10)
+        with pytest.raises(SizeLimit):
+            count(5, cap=4)
+
+
+def test_profile_counts_match_enumeration():
+    for n in range(3, 9):
+        enumerated = Counter(
+            tuple(sorted(nt.tree.valence(v) for v in range(nt.tree.vertex_count)))
+            for nt in enumerate_stable_trees(n)
+        )
+        assert profile_counts(n) == enumerated, n
+
+
+def test_profile_counts_sum_to_a000311():
+    # OEIS A000311: stable trees with n labeled leaves, n = 3..12.
+    want = [1, 4, 26, 236, 2752, 39208, 660032, 12818912, 282137824, 6939897856]
+    assert [sum(profile_counts(n, cap=12).values()) for n in range(3, 13)] == want
 
 
 def test_gerby_markings_counts():
