@@ -11,7 +11,8 @@ Subcommands:
 Groups are given either as --builtin strings (cyclic:3, product_cyclic:2,2,
 dihedral:4, symmetric:3) or as a JSON spec file via --group-file.  All output
 is byte-deterministic for a fixed input.  The environment variable
-COVERMOTIVE_CAP overrides the enumeration caps.
+COVERMOTIVE_CAP overrides the enumeration caps; it may lower the stable tree
+cap but never raise it.
 
 Exit codes: 0 success (and verified equality for verify), 1 verification
 failure, 2 malformed input, 3 size or enumeration cap exceeded, 4 abelian-only
@@ -159,7 +160,7 @@ def cmd_trees(args) -> int:
     # classes^(n + E) markings, and the sweep's product-one leaf tuples as the
     # admissible ones.  Rows go by E, as enumerate_stable_trees orders them.
     _require_n(args, 3)
-    n, tree_cap = args.n, _cap_override(STABLE_TREE_CAP)
+    n, tree_cap = args.n, min(STABLE_TREE_CAP, _cap_override(STABLE_TREE_CAP))
     per_edges = Counter()
     for profile, count in profile_counts(n, tree_cap).items():
         per_edges[len(profile) - 1] += count
@@ -228,7 +229,7 @@ def _calculator(args) -> Calculator:
     # decides the same way without building a huge integer.
     if ncls ** min(args.n, cap.bit_length()) > cap:
         raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {cap}")
-    tree_cap = _cap_override(STABLE_TREE_CAP)
+    tree_cap = min(STABLE_TREE_CAP, _cap_override(STABLE_TREE_CAP))
     if args.n > tree_cap:
         raise SizeLimit(f"n = {args.n} exceeds stable tree cap {tree_cap}")
     return Calculator(group, tree_cap=tree_cap)
@@ -287,14 +288,14 @@ def cmd_hurwitz(args) -> int:
     _require_n(args, 1)
     group = _load_group(args)
     cap = _cap_override(DEFAULT_TUPLE_CAP)
-    # Entries written: order^(n-1) tuples of length n, and with --orbits each
-    # one again for its 2(n-1) braid moves.  The power is clamped as in
-    # _calculator, so a large n builds no huge integer.
+    # Bound: order^(n-1) tuples of length n, and with --orbits that times
+    # 2(n-1), twice the n-1 braid moves the closure makes per vector.  The
+    # power is clamped as in _calculator, so a large n builds no huge integer.
     work = group.order ** min(args.n - 1, cap.bit_length()) * args.n
     moves = ""
     if args.orbits:
         work *= 2 * (args.n - 1)
-        moves = f" and {2 * (args.n - 1)} braid moves each"
+        moves = f", times 2(n-1) = {2 * (args.n - 1)} for orbits,"
     if work > cap:
         raise SizeLimit(
             f"{group.order}^{args.n - 1} tuples of length {args.n}{moves} exceed tuple cap {cap}"

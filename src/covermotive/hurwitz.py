@@ -8,11 +8,14 @@ the multiset of conjugacy classes.
 
 Orbit computations are closures read off a conjugation table
 rows[h][g] = h g h^{-1}, built once per call: sigma_i sends (a, b) to
-(rows[a][b], a) and its inverse sends (a, b) to (b, rows[b^{-1}][a]).
+(rows[a][b], a).  Each sigma_i permutes the finite set of vectors, so a set
+closed under sigma_i is closed under its inverse too, and the closure of a
+seed under the forward moves alone is its whole orbit.
 Optionally the orbits are taken after quotienting by simultaneous
-conjugation.  A vector's class is then written as its lexicographically
-least image under the |G| rows, and that minimum is recorded for every
-image, so each conjugation class of vectors is canonicalized once.
+conjugation.  A vector's |G| conjugates are read off the columns
+cols[g][h] = h g h^{-1} in one zip, the class is written as its
+lexicographically least conjugate, and that minimum is recorded for every
+conjugate, so each conjugation class of vectors is canonicalized once.
 Conjugation commutes with every braid move, so quotienting before or after
 taking the closure yields the same partition; the flag is just a choice of
 which set the orbits live on.
@@ -80,13 +83,14 @@ def braid_orbits(
         tuple(table[table[h][g]][inverse[h]] for g in range(group.order))
         for h in range(group.order)
     ]
+    cols = list(zip(*rows))
     canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def least_conjugate(v: tuple[int, ...]) -> tuple[int, ...]:
         least = canonical.get(v)
         if least is None:
-            images = [tuple(map(row.__getitem__, v)) for row in rows]
-            least = min(images)
+            images = list(zip(*map(cols.__getitem__, v)))
+            least = min(images, default=v)
             canonical.update(dict.fromkeys(images, least))
         return least
 
@@ -94,27 +98,23 @@ def braid_orbits(
 
     todo = {normalize(tuple(v)) for v in vectors}
     orbits = []
-    # Seeds come in increasing order and each is the least member of the
-    # orbit it starts, since the orbit must lie in what is left of todo.
-    for seed in sorted(todo):
-        if seed not in todo:
-            continue
+    while todo:
+        seed = todo.pop()
         seen = {seed}
         stack = [seed]
         while stack:
             v = stack.pop()
             for i in range(1, len(v)):
-                a, b = v[i - 1], v[i]
-                head, tail = v[: i - 1], v[i + 1 :]
-                for w in (head + (rows[a][b], a) + tail, head + (b, rows[inverse[b]][a]) + tail):
-                    w = normalize(w)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        if not seen <= todo:
-            raise ValueError("input vectors are not closed under the braid action")
+                a = v[i - 1]
+                w = normalize(v[: i - 1] + (rows[a][v[i]], a) + v[i + 1 :])
+                if w not in seen:
+                    if w not in todo:
+                        raise ValueError("input vectors are not closed under the braid action")
+                    seen.add(w)
+                    stack.append(w)
         todo -= seen
         orbits.append(sorted(seen))
+    orbits.sort(key=lambda orbit: orbit[0])
     return orbits
 
 

@@ -251,7 +251,7 @@ def test_exit_code_size_limit(capsys):
 
 def test_hurwitz_degree_cap(capsys, monkeypatch):
     # The trivial group has one tuple per degree, so only the length of the
-    # tuples and the 2(n-1) braid moves of each can refuse a large n.
+    # tuples and the 2(n-1) factor for orbits can refuse a large n.
     start = time.perf_counter()
     code, out, err = _run(capsys, "hurwitz", "--group", "cyclic:1", "--n", "32000", "--orbits")
     assert time.perf_counter() - start < 1
@@ -310,6 +310,33 @@ def test_cap_env_override(capsys, monkeypatch):
     assert "COVERMOTIVE_CAP" in err
     monkeypatch.delenv("COVERMOTIVE_CAP")
     assert _run(capsys, "trees", "--n", "5")[0] == 0
+
+
+def test_cap_env_override_cannot_lift_tree_cap(capsys, monkeypatch, tmp_path):
+    # For C1 the one class tuple per degree passes any marking cap, so only the
+    # tree cap stands between these commands and A000311(12) ~ 6.9e9 trees.
+    # The enumeration entry points raise here, so a copy that lets the
+    # override lift the tree cap fails at once instead of running away.
+    import covermotive.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started above the stable tree cap")
+
+    monkeypatch.setattr(cli, "Calculator", refuse)
+    monkeypatch.setattr(cli, "enumerate_stable_trees", refuse)
+    monkeypatch.setenv("COVERMOTIVE_CAP", "1000")
+    dot = tmp_path / "dot"
+    for argv in (
+        ("verify", "--group", "cyclic:1", "--n", "12", "--all-props"),
+        ("trees", "--n", "12", "--dot", str(dot)),
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "stable tree cap 9" in err
+        assert out == ""
+    assert not dot.exists()
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,13 @@ from covermotive.hurwitz import (
     enumerate_hurwitz,
     nielsen_count,
 )
-from hurwitz_oracle import canonical_under_conjugation, conjugate_vector
+from hurwitz_oracle import (
+    canonical_under_conjugation,
+    conjugate_vector,
+    generated_subgroup,
+    generating_tuples,
+    reference_orbits,
+)
 
 
 def _product(group, v):
@@ -199,6 +205,80 @@ def test_orbits_are_single_orbits_of_the_public_move():
                             reached.add(w)
                             frontier.append(w)
                 assert reached == members
+
+
+@pytest.mark.parametrize("group, n", [(build_symmetric(3), 5), (build_dihedral(4), 5)], ids=["S3", "D4"])
+@pytest.mark.parametrize("mod", [False, True], ids=["plain", "mod-conj"])
+def test_orbits_match_two_sided_reference(group, n, mod):
+    # The reference closes under sigma_i and sigma_i^{-1}, built with
+    # group.mul, and canonicalizes by the slow oracle.
+    vectors = enumerate_hurwitz(group, n)
+    assert braid_orbits(group, vectors, mod_conjugation=mod) == reference_orbits(group, vectors, mod)
+
+
+@pytest.mark.parametrize(
+    "group, n",
+    [(build_symmetric(3), 3), (build_symmetric(3), 4), (build_dihedral(4), 4), (build_dihedral(4), 5)],
+    ids=["S3-3", "S3-4", "D4-4", "D4-5"],
+)
+@pytest.mark.parametrize("mod", [False, True], ids=["plain", "mod-conj"])
+def test_orbit_invariants(group, n, mod):
+    # Braid moves keep the product, the class multiset and the generated
+    # subgroup; mod conjugation the subgroup is kept up to conjugacy.
+    conj = conjugacy_classes(group)
+
+    def subgroup(v):
+        sub = tuple(generated_subgroup(group, v))
+        if not mod:
+            return frozenset(sub)
+        return min(tuple(sorted(conjugate_vector(group, h, sub))) for h in range(group.order))
+
+    for orbit in braid_orbits(group, enumerate_hurwitz(group, n), mod_conjugation=mod):
+        assert all(_product(group, v) == group.identity for v in orbit)
+        assert len({tuple(sorted(conj.class_of[g] for g in v)) for v in orbit}) == 1
+        assert len({subgroup(v) for v in orbit}) == 1
+
+
+def _transpositions(group, d):
+    conj = conjugacy_classes(group)
+    return [
+        g for g in range(group.order)
+        if group.element_order(g) == 2 and conj.sizes[conj.class_of[g]] == d * (d - 1) // 2
+    ]
+
+
+@pytest.mark.parametrize("d, n, count", [(3, 4, 24), (3, 6, 240), (4, 6, 2880)])
+def test_clebsch_hurwitz_single_orbit(d, n, count):
+    # Clebsch (1873), Hurwitz (1891): the braid group acts transitively on the
+    # generating product-one tuples of n transpositions in S_d.  At n = 2d - 2
+    # (genus 0) the count is Hurwitz's d^(d-3) (2d-2)!; 240 is the Frobenius
+    # count 3^6/6 * 2 = 243 less the 3 constant tuples.  S4 at n = 8 (131,040
+    # tuples, about 5 s) is left out for time.
+    group = build_symmetric(d)
+    tuples = generating_tuples(group, n, _transpositions(group, d))
+    assert len(tuples) == count
+    assert braid_orbits(group, tuples) == [sorted(tuples)]
+
+
+@pytest.mark.parametrize(
+    "k, n, types",
+    [(3, 4, 2), (3, 5, 2), (4, 4, 4), (4, 5, 7), (5, 4, 4), (5, 5, 6)],
+)
+def test_dihedral_one_orbit_per_class_multiset(k, n, types):
+    # Generating product-one tuples of nonidentity elements of D_k: mod
+    # simultaneous conjugation there is exactly one braid orbit per multiset
+    # of conjugacy classes.  Catanese-Loenne-Perroni (2011) prove that the
+    # space of dihedral covers of P^1 of a given numerical type is
+    # irreducible; whether their equivalence is by inner or by all
+    # automorphisms is not checked here, so the numbers of multisets are
+    # pinned as regression values, not as that theorem.
+    group = build_dihedral(k)
+    conj = conjugacy_classes(group)
+    pool = [g for g in range(group.order) if g != group.identity]
+    orbits = braid_orbits(group, generating_tuples(group, n, pool), mod_conjugation=True)
+    multisets = [{tuple(sorted(conj.class_of[g] for g in v)) for v in orbit} for orbit in orbits]
+    assert all(len(m) == 1 for m in multisets)
+    assert len({m.pop() for m in multisets}) == len(orbits) == types
 
 
 def test_orbits_reject_non_closed_input():
