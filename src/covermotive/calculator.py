@@ -24,9 +24,12 @@ tests/test_calculator.py enumerates the trees, marks every edge freely and
 checks every vertex (trees.gerby_markings, trees.is_admissible); it is the
 oracle for both shortcuts.
 
-Tail tables are built strictly bottom-up: the degree-n comparison consumes
-stratification values only in degrees below n, so each level of the ladder
-tests the recursion against independently computed lower levels.
+The recursion works on class types (smodules).  Its open part tests product
+one per type with hurwitz.nielsen_count, not the sweep's multiplication.  Its
+tails are the sweep classes of degrees below n, which enter through
+bbar_module, the one crossing between the routes, where each type's tuples
+must carry one class; so each level of the ladder tests the recursion
+against independently computed lower levels.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .smodules import (
     compose,
     day_convolve,
     shift_root,
+    tuples_of,
+    type_of,
     unit_i1,
     unit_i2,
 )
@@ -112,18 +117,18 @@ class Calculator:
         root condition can fail, so every topology admits exactly the leaf
         tuples whose marks multiply to the identity, and each such tuple
         gets the same class: the sum of the strata over all topologies.
-        test_sweep_matches_brute_force is the oracle for this.
+        Each prefix of n - 1 classes is closed by the class of its inverse
+        product.  test_sweep_matches_brute_force is the oracle for this.
         """
         if n in self._sweeps:
             return self._sweeps[n]
-        group, reps = self.group, self.conj.representatives
+        group, conj = self.group, self.conj
         markings = []
-        for cvec in itertools.product(range(self.conj.count), repeat=n):
+        for prefix in itertools.product(range(conj.count), repeat=n - 1):
             acc = group.identity
-            for c in cvec:
-                acc = group.mul(acc, reps[c])
-            if acc == group.identity:
-                markings.append(cvec)
+            for c in prefix:
+                acc = group.mul(acc, conj.representatives[c])
+            markings.append(prefix + (conj.class_of[group.inv(acc)],))
 
         profiles = profile_counts(n, self.tree_cap)
         strata = v_w = e_w = ZERO
@@ -160,22 +165,22 @@ class Calculator:
     # ---- recursion route ----
 
     def open_module(self, n: int) -> SModClass:
-        """Open part, degrees 3..n: class_m0n(m) for each marking that carries a cover."""
+        """Open part, degrees 3..n: class_m0n(m) on each type that carries a cover."""
+        count = self.conj.count
         atoms = []
         for m in range(3, n + 1):
             cls = class_m0n(m)
-            for cvec in itertools.product(range(self.conj.count), repeat=m):
+            for cvec in itertools.combinations_with_replacement(range(count), m):
                 if nielsen_count(self.group, cvec) == 1:
-                    atoms.append(Atom(cvec, (), cls, 1))
+                    atoms.append(Atom(type_of(cvec, count), (), cls))
         return SModClass(atoms)
 
     def bbar_module(self, up_to: int) -> SModClass:
-        """Stratification classes as generators, degrees 3..up_to."""
-        atoms = []
+        """Stratification classes as generators, degrees 3..up_to, by type."""
+        per_marking = {}
         for k in range(3, up_to + 1):
-            for cvec, cls in sorted(self.sweep(k).per_marking.items()):
-                atoms.append(Atom(cvec, (), cls, 1))
-        return SModClass(atoms)
+            per_marking.update(((cvec, ()), cls) for cvec, cls in self.sweep(k).per_marking.items())
+        return SModClass.from_tuples(per_marking, self.conj.count)
 
     def dbar_module(self, n: int) -> SModClass:
         """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
@@ -188,17 +193,12 @@ class Calculator:
         the c-tails are convolved with the iota(c)-tails, one class c at a time.
         """
         dbar = self.dbar_module(n)
-        tails: dict[tuple[int, ...], list[Atom]] = {}
-        for a in dbar.atoms():
-            tails.setdefault(a.attach, []).append(a)
+        count = self.conj.count
+        tails = [SModClass(a for a in dbar.atoms() if a.attach == (c,)) for c in range(count)]
         pairs = [
             atom
-            for c in range(self.conj.count)
-            for atom in day_convolve(
-                SModClass(tails.get((c,), ())),
-                SModClass(tails.get((self.iota(c),), ())),
-                degrees={n},
-            ).part(n)
+            for c in range(count)
+            for atom in day_convolve(tails[c], tails[self.iota(c)], {n}).part(n)
         ]
         return (
             compose(self.open_module(n), unit_i1(self.group).union(dbar), {n}).part(n),
@@ -209,18 +209,18 @@ class Calculator:
     def terms(self, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
         """The three recursion terms at degree n (third enters negatively)."""
         if n not in self._terms:
-            self._terms[n] = tuple(
-                sum((a.cls.scale(a.weight) for a in atoms), ZERO) for atoms in self._term_atoms(n)
-            )
+            counted = [[a.cls.scale(a.tuple_count) for a in atoms] for atoms in self._term_atoms(n)]
+            self._terms[n] = tuple(sum(classes, ZERO) for classes in counted)
         return self._terms[n]
 
     def recursion_refinement(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
         """Per-marking breakdown of the recursion side, for diagnostics."""
-        acc: dict[tuple[int, ...], MotivePoly] = {}
-        for sign, atoms in zip((1, 1, -1), self._term_atoms(n)):
-            for atom in atoms:
-                acc[atom.evals] = acc.get(atom.evals, ZERO) + atom.cls.scale(sign * atom.weight)
-        return {c: cls for c, cls in acc.items() if not cls.is_zero}
+        signed = SModClass(
+            Atom(a.mults, (), a.cls.scale(sign))
+            for sign, atoms in zip((1, 1, -1), self._term_atoms(n))
+            for a in atoms
+        )
+        return {cvec: a.cls for a in signed.atoms() for cvec in tuples_of(a.mults)}
 
     # ---- verification ----
 
@@ -236,6 +236,12 @@ class Calculator:
         )
 
     def verify_mainprop(self, n: int) -> tuple[VerificationReport, ...]:
+        """Vertex-, edge- and inner-flag-weighted strata against the three terms.
+
+        The third identity is twice the second on both sides, so it is no
+        independent check: flags minus leaves is 2E on a tree with E edges,
+        and the ordered pairs sum_c D_c D_iota(c) are twice the edge unit.
+        """
         sweep = self.sweep(n)
         t1, t2, t3 = self.terms(n)
         mk = lambda name, lhs, rhs, tag: VerificationReport(

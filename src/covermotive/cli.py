@@ -217,9 +217,9 @@ def _parse_marking(text: str, n: int, ncls: int) -> tuple[int, ...]:
 def _calculator(args) -> Calculator:
     """Load the group; refuse n < 3 and degrees beyond the marking or tree cap.
 
-    Both routes enumerate every class tuple and every stable tree of each
-    degree up to n, so the checks bound all of their enumerations before any
-    of them starts.
+    The sweep lists the product-one class tuples of each degree up to n, the
+    recursion works on their types, and verify --all-props enumerates the
+    stable trees, so the checks bound every enumeration before it starts.
     """
     _require_n(args, 3)
     group = _load_group(args)

@@ -50,16 +50,5 @@ class MissingEvaluations(CoverMotiveError):
     """An operation needs evaluation data that a generator does not carry."""
 
 
-class NonFreeAction(CoverMotiveError):
-    """A symmetric-group action that must be free has a fixed point.
-
-    Carries the witness permutation in ``witness``.
-    """
-
-    def __init__(self, message: str, witness: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class InexactDivision(CoverMotiveError):
     """An integer or coefficient division that must be exact is not."""

@@ -1,57 +1,53 @@
-"""Graded modules of labeled generators and their composition calculus.
+"""Graded modules of typed generators and their composition calculus.
 
-The recursion for compactified cover classes is phrased in terms of graded
-collections ("modules") of generators over the set B of conjugacy classes.
-A generator of degree n carries an evaluation tuple in B^n (one class per
-marked point), an optional root attachment datum in B, an exact class
-polynomial, and an integer weight.  Everything here is a finite shadow of a
-geometric object, so all operations reduce to bookkeeping over tuples plus
-exact polynomial arithmetic.
+A generator of degree n over the set B of conjugacy classes carries an
+evaluation tuple in B^n (one class per marked point), an optional root
+attachment in B and a class in Z[q].  Every module of the recursion is
+symmetric under permuting evaluations, so it is stored on types: an atom
+holds, per multiplicity vector u in N^B and attachment, the class carried by
+each of the n!/u! tuples of that type.  Read as the multisort exponential
+generating function sum_u c_u x^u/u! (Bergeron-Labelle-Leroux 1998; Getzler
+1995 for composition as plethysm):
 
-Operations:
+* unit_i1 / unit_i2: the one- and two-slot units; the degree-2 unit pairs a
+  class with its inverse class.
+* shift_root: drop the last evaluation and re-expose it, through the
+  inversion involution, as the root attachment.
+* day_convolve: the EGF product.  A tuple of type w splits between factors
+  of types u and w - u in prod_b C(w_b, u_b) ways.
+* compose: plug inner generators rooted at the outer i-th evaluation into
+  slot i and quotient by the slot permutations: EGF substitution
+  sum_u c_u prod_b Y_b^(u_b)/u_b!, with Y_b the inner generators rooted at b
+  and Y^k/k! = (Y * Y^(k-1)/(k-1)!) / k.
 
-* unit_i1 / unit_i2: the one- and two-slot units.  The degree-2 unit pairs a
-  class with its inverse class, and its nontrivial symmetry swaps the two
-  evaluations while applying the inversion involution.
-* shift_root: drop the last evaluation of each generator and re-expose it,
-  through the inversion involution, as the root attachment.
-* day_convolve: graded product; a degree-k generator of the product routes
-  the k outer labels to the two factors through a two-block shuffle.
-* compose: plug rooted generators into the slots of outer generators.  Slot
-  i accepts inner generators whose root attachment equals the outer i-th
-  evaluation.  The outer labels are distributed by shuffles (ordered
-  partitions into blocks, read increasingly within each block), and the
-  result is the quotient by the symmetric group permuting the slots.
-
-The slot permutations act freely on shuffles, because the blocks of a
-shuffle are disjoint, nonempty, and therefore pairwise distinct.  So the
-quotient takes one shuffle per orbit: a set partition of the outer labels,
-blocks ordered by least label.  compose still checks every partition it
-enumerates and rejects a repeated block with NonFreeAction, returning the
-slot swap that fixes it as a witness.  One representative per orbit stands
-for the whole orbit only if the outer generators are closed under permuting
-their evaluations; compose checks that closure on each adjacent swap and
-raises InexactDivision where it fails.
+Products are truncated at the wanted degree and bucketed by degree, in
+integers: each division by k must be exact.  Tuple-indexed data enters only
+through from_tuples, which needs every tuple of a type present with one
+class.  Either check raises InexactDivision.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import comb, factorial, prod
+from operator import add
+from typing import Container, Iterable, Mapping
 
-from .errors import (
-    InexactDivision,
-    MissingEvaluations,
-    NonEmptyDegreeZero,
-    NonFreeAction,
-)
+from .errors import InexactDivision, MissingEvaluations, NonEmptyDegreeZero
 from .groups import FiniteGroup, class_involution, conjugacy_classes
 from .motives import ONE, MotivePoly
 
+Series = dict[int, dict[tuple[int, ...], MotivePoly]]  # degree -> type -> class per tuple
+
 
 class EngineStats:
-    """Counts the runtime freeness checks, to show that they actually ran."""
+    """Counts the exact divisions that take the slot quotient.
+
+    Y * Y^(k-1)/(k-1)! counts each k-set of inner generators once per choice
+    of the one in the first slot, and the k choices differ because the slot
+    permutations act freely (the blocks of labels are disjoint and nonempty).
+    So every coefficient divides by k exactly; each one divided is counted.
+    """
 
     def __init__(self):
         self.freeness_checks = 0
@@ -60,52 +56,108 @@ class EngineStats:
 stats = EngineStats()
 
 
+def type_of(evals: Iterable[int], classes: int) -> tuple[int, ...]:
+    """Multiplicity vector of an evaluation tuple over `classes` classes."""
+    mults = [0] * classes
+    for c in evals:
+        mults[c] += 1
+    return tuple(mults)
+
+
+def _less_one(mults: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The type with one evaluation of class c taken away."""
+    return mults[:c] + (mults[c] - 1,) + mults[c + 1 :]
+
+
+def tuples_of(mults: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every evaluation tuple of a type, each once, in increasing order."""
+    if not any(mults):
+        return [()]
+    return [(c,) + t for c, k in enumerate(mults) if k for t in tuples_of(_less_one(mults, c))]
+
+
 @dataclass(frozen=True)
 class Atom:
-    """A single generator: evaluations, root attachment, class, weight."""
+    """The generators of one type and root attachment, each of class cls."""
 
-    evals: tuple[int, ...]
+    mults: tuple[int, ...]
     attach: tuple[int, ...]
     cls: MotivePoly
-    weight: int = 1
 
     @property
     def degree(self) -> int:
-        return len(self.evals)
+        return sum(self.mults)
+
+    @property
+    def tuple_count(self) -> int:
+        """Number of evaluation tuples of this type: degree!/prod mults!."""
+        return factorial(self.degree) // prod(map(factorial, self.mults))
+
+
+def _add(acc: dict, key, c: MotivePoly) -> None:
+    acc[key] = acc[key] + c if key in acc else c
+
+
+def _atoms(by_attach: dict[tuple[int, ...], Series]) -> list[Atom]:
+    return [
+        Atom(t, attach, c)
+        for attach, series in by_attach.items()
+        for part in series.values()
+        for t, c in part.items()
+    ]
 
 
 class SModClass:
-    """A graded set of atoms, normalized: equal keys merged, zero weights dropped."""
+    """A graded set of atoms, kept as attachment -> degree -> type -> class;
+    classes of equal keys are added and zero classes dropped."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        merged: dict[tuple, int] = {}
+        merged: dict[tuple[int, ...], Series] = {}
         for a in atoms:
-            key = (a.evals, a.attach, a.cls)
-            merged[key] = merged.get(key, 0) + a.weight
-        parts: dict[int, list[Atom]] = {}
-        for (evals, attach, cls), weight in merged.items():
-            if weight == 0 or cls.is_zero:
-                continue
-            parts.setdefault(len(evals), []).append(Atom(evals, attach, cls, weight))
-        self._parts = {
-            n: tuple(sorted(lst, key=lambda a: (a.evals, a.attach, a.cls.coeffs)))
-            for n, lst in parts.items()
-        }
+            _add(merged.setdefault(a.attach, {}).setdefault(a.degree, {}), a.mults, a.cls)
+        self._by_attach: dict[tuple[int, ...], Series] = {}
+        for attach, series in merged.items():
+            for d, part in series.items():
+                kept = {t: c for t, c in part.items() if not c.is_zero}
+                if kept:
+                    self._by_attach.setdefault(attach, {})[d] = kept
+
+    @classmethod
+    def from_tuples(
+        cls, generators: Mapping[tuple[tuple[int, ...], tuple[int, ...]], MotivePoly], classes: int
+    ) -> "SModClass":
+        """The module of {(evaluations, attachment): class} over `classes` classes.
+
+        Every tuple of a type must be present with one class: otherwise the
+        data is not symmetric, and storing it by type would change it.
+        """
+        seen: dict[tuple, list[MotivePoly]] = {}
+        for (evals, attach), c in generators.items():
+            if not c.is_zero:
+                seen.setdefault((type_of(evals, classes), attach), []).append(c)
+        atoms = [Atom(mults, attach, found[0]) for (mults, attach), found in seen.items()]
+        for atom, found in zip(atoms, seen.values()):
+            if len(found) != atom.tuple_count or len(set(found)) > 1:
+                raise InexactDivision(
+                    f"{len(found)} of the {atom.tuple_count} tuples of type {atom.mults} "
+                    f"are present, with classes {sorted(set(map(str, found)))}"
+                )
+        return cls(atoms)
 
     def degrees(self) -> list[int]:
-        return sorted(self._parts)
+        return sorted({d for series in self._by_attach.values() for d in series})
 
     def part(self, n: int) -> tuple[Atom, ...]:
-        return self._parts.get(n, ())
+        return tuple(a for a in self.atoms() if a.degree == n)
 
     def atoms(self) -> list[Atom]:
-        return [a for n in self.degrees() for a in self._parts[n]]
+        return sorted(_atoms(self._by_attach), key=lambda a: (a.degree, a.mults, a.attach))
 
     def union(self, other: "SModClass") -> "SModClass":
         return SModClass(self.atoms() + other.atoms())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SModClass) and self._parts == other._parts
+        return isinstance(other, SModClass) and self._by_attach == other._by_attach
 
     def __repr__(self) -> str:
         return f"SModClass({self.atoms()!r})"
@@ -113,8 +165,8 @@ class SModClass:
 
 def unit_i1(group: FiniteGroup) -> SModClass:
     """Degree-1 unit: one generator per class, attached at that class."""
-    conj = conjugacy_classes(group)
-    return SModClass(Atom((c,), (c,), ONE) for c in range(conj.count))
+    count = conjugacy_classes(group).count
+    return SModClass.from_tuples({((c,), (c,)): ONE for c in range(count)}, count)
 
 
 def unit_i2(group: FiniteGroup) -> SModClass:
@@ -123,13 +175,14 @@ def unit_i2(group: FiniteGroup) -> SModClass:
     Its slot swap acts by exchanging the evaluations and applying the
     inversion involution, which permutes these generators among themselves.
     """
-    conj = conjugacy_classes(group)
+    count = conjugacy_classes(group).count
     iota = class_involution(group)
-    return SModClass(Atom((c, iota(c)), (), ONE) for c in range(conj.count))
+    return SModClass.from_tuples({((c, iota(c)), ()): ONE for c in range(count)}, count)
 
 
 def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
-    """Drop the last evaluation, re-exposing it through inversion as the root."""
+    """Drop the last evaluation, re-exposing it through inversion as the root:
+    the tuples of type w ending in b become type w - e_b rooted at iota(b)."""
     iota = class_involution(group)
     out = []
     for a in x.atoms():
@@ -137,136 +190,86 @@ def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
             raise MissingEvaluations("degree-0 generator has no evaluation to re-expose")
         if a.attach:
             raise ValueError("generator already carries a root attachment")
-        out.append(Atom(a.evals[:-1], (iota(a.evals[-1]),), a.cls, a.weight))
+        drops = [b for b, k in enumerate(a.mults) if k]
+        out.extend(Atom(_less_one(a.mults, b), (iota(b),), a.cls) for b in drops)
     return SModClass(out)
 
 
-def day_convolve(
-    x: SModClass, y: SModClass, degrees: Iterable[int] | None = None
-) -> SModClass:
-    """Graded product: outer labels split between the factors by 2-block shuffles.
-
-    With degrees given, only those output degrees are produced.
-    """
-    wanted = None if degrees is None else set(degrees)
-    out = []
-    for nx in x.degrees():
-        for ny in y.degrees():
-            n = nx + ny
-            if wanted is not None and n not in wanted:
-                continue
-            for xa in x.part(nx):
-                for ya in y.part(ny):
-                    cls = xa.cls * ya.cls
-                    weight = xa.weight * ya.weight
-                    attach = xa.attach + ya.attach
-                    for left in itertools.combinations(range(n), nx):
-                        evals = [0] * n
-                        right = [p for p in range(n) if p not in left]
-                        for pos, lbl in enumerate(left):
-                            evals[lbl] = xa.evals[pos]
-                        for pos, lbl in enumerate(right):
-                            evals[lbl] = ya.evals[pos]
-                        out.append(Atom(tuple(evals), attach, cls, weight))
-    return SModClass(out)
+def _product(x: Series, y: Series, keep: Container[int], out: Series) -> Series:
+    """Add the EGF product of x and y, in the degrees keep contains, into out."""
+    for dx, px in x.items():
+        for dy, py in y.items():
+            if dx + dy in keep:
+                acc = out.setdefault(dx + dy, {})
+                for u, cu in px.items():
+                    for v, cv in py.items():
+                        w = tuple(map(add, u, v))
+                        _add(acc, w, (cu * cv).scale(prod(map(comb, w, u))))
+    return out
 
 
-def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every partition of {0..n-1} into nonempty blocks, each exactly once.
-
-    Blocks are read increasingly and ordered by least label: one shuffle per
-    orbit of the slot permutations.  Labels join in increasing order, either
-    to an existing block or as a new last block, which keeps both orders.
-    """
-    parts: list[tuple[tuple[int, ...], ...]] = [()]
-    for label in range(n):
-        parts = [
-            p[:i] + (p[i] + (label,),) + p[i + 1 :] if i < len(p) else p + ((label,),)
-            for p in parts
-            for i in range(len(p) + 1)
-        ]
-    return parts
+def _divided(x: Series, k: int) -> Series:
+    """x / k, with every coefficient checked to divide exactly."""
+    out: Series = {}
+    for d, part in x.items():
+        out[d] = {}
+        for w, c in part.items():
+            stats.freeness_checks += 1
+            if any(coeff % k for coeff in c.coeffs):
+                raise InexactDivision(f"class {c} of type {w} is not divisible by {k}")
+            out[d][w] = MotivePoly(tuple(coeff // k for coeff in c.coeffs))
+    return out
 
 
-def _check_rigid(blocks: tuple[tuple[int, ...], ...]) -> None:
-    """Freeness of the slot permutations on shuffle data: blocks are distinct."""
-    stats.freeness_checks += 1
-    seen: dict[tuple[int, ...], int] = {}
-    for i, b in enumerate(blocks):
-        if b in seen:
-            witness = list(range(len(blocks)))
-            witness[seen[b]], witness[i] = i, seen[b]
-            raise NonFreeAction(
-                f"blocks {seen[b]} and {i} coincide; swapping them fixes the shuffle datum",
-                tuple(witness),
-            )
-        seen[b] = i
-
-
-def _check_symmetric(atoms: Sequence[Atom]) -> None:
-    """The atoms are closed under permuting evaluations (adjacent swaps generate)."""
-    weights = {(a.evals, a.attach, a.cls): a.weight for a in atoms}
-    for (evals, attach, cls), weight in weights.items():
-        for i in range(len(evals) - 1):
-            swapped = evals[:i] + (evals[i + 1], evals[i]) + evals[i + 2 :]
-            if weights.get((swapped, attach, cls)) != weight:
-                raise InexactDivision(
-                    f"outer generator {evals} has no partner {swapped} of equal class "
-                    f"and weight, so one shuffle per slot orbit does not give the quotient"
-                )
+def day_convolve(x: SModClass, y: SModClass, degrees: Iterable[int]) -> SModClass:
+    """Graded product in the given degrees: labels split between the factors,
+    attachments joined."""
+    keep = set(degrees)
+    out: dict[tuple[int, ...], Series] = {}
+    for ax, sx in x._by_attach.items():
+        for ay, sy in y._by_attach.items():
+            _product(sx, sy, keep, out.setdefault(ax + ay, {}))
+    return SModClass(_atoms(out))
 
 
 def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
     """Plug rooted generators of w into the slots of x, quotienting slot order.
 
-    Produces the parts of the composite in the requested degrees.  Slot i of
-    an outer degree-m generator accepts inner generators whose root
-    attachment equals the outer i-th evaluation.  Each orbit of shuffles
-    under the slot permutations is taken once, as a set partition of the
-    outer labels into m blocks (block i goes to slot i), so the weights are
-    already the quotient; this needs the degree-m part of x to be closed
-    under permuting evaluations, which is checked.  A degree-0 generator of
-    x has the empty partition only and passes through.
+    Produces the parts of the composite in the requested degrees.  The sum
+    over outer types u of c_u prod_b Y_b^(u_b)/u_b! runs by Horner's rule
+    from the last class b to the first: the partial sums that share u's
+    entries before b are multiplied by Y_b's divided power once, truncated at
+    the degree those entries leave room for (each slot takes a label or
+    more).  A degree-0 generator of x passes through.
     """
     if w.part(0):
         raise NonEmptyDegreeZero("inner module must have empty degree-0 part")
-    w_by: dict[tuple[int, int], list[Atom]] = {}
-    for a in w.atoms():
-        if len(a.attach) != 1:
+    for attach, series in w._by_attach.items():
+        if len(attach) != 1:
             raise MissingEvaluations(
-                f"inner generator at degree {a.degree} lacks a root attachment"
+                f"inner generators at degrees {sorted(series)} lack a root attachment"
             )
-        w_by.setdefault((a.degree, a.attach[0]), []).append(a)
-
-    # Orbit representatives by slot count, then by block-size vector, so that
-    # each (sizes, outer atom, inner choice) multiplies its classes once.
-    shapes: dict[int, dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]] = {}
-    for n in set(degrees):
-        for blocks in set_partitions(n):
-            _check_rigid(blocks)
-            sizes = tuple(len(b) for b in blocks)
-            shapes.setdefault(len(blocks), {}).setdefault(sizes, []).append(blocks)
-
-    acc: dict[tuple[tuple[int, ...], tuple[int, ...], MotivePoly], int] = {}
-    for m, by_sizes in shapes.items():
-        outer = x.part(m)
-        _check_symmetric(outer)
-        for sizes, reps in by_sizes.items():
-            n = sum(sizes)
-            for xa in outer:
-                pools = [w_by.get(slot, ()) for slot in zip(sizes, xa.evals)]
-                for ws in itertools.product(*pools):
-                    cls = xa.cls
-                    weight = xa.weight
-                    for wa in ws:
-                        cls = cls * wa.cls
-                        weight *= wa.weight
-                    for blocks in reps:
-                        evals = [0] * n
-                        for i, block in enumerate(blocks):
-                            we = ws[i].evals
-                            for pos, lbl in enumerate(block):
-                                evals[lbl] = we[pos]
-                        key = (tuple(evals), xa.attach, cls)
-                        acc[key] = acc.get(key, 0) + weight
-    return SModClass(Atom(evals, attach, cls, weight) for (evals, attach, cls), weight in acc.items())
+    wanted = set(degrees)
+    top = max(wanted, default=-1)
+    outer = [a for a in x.atoms() if a.degree <= top]
+    if not outer:
+        return SModClass()
+    classes = len(outer[0].mults)
+    unit: Series = {0: {(0,) * classes: ONE}}
+    powers = []
+    for b in range(classes):
+        y = w._by_attach.get((b,), {})
+        powers.append([unit, y])
+        for k in range(2, max(a.mults[b] for a in outer) + 1):
+            powers[b].append(_divided(_product(y, powers[b][-1], range(top + 1), {}), k))
+    out: dict[tuple[int, ...], Series] = {}
+    for attach in {a.attach for a in outer}:
+        partial = {a.mults: {0: {(0,) * classes: a.cls}} for a in outer if a.attach == attach}
+        for b in reversed(range(classes)):
+            summed: dict[tuple[int, ...], Series] = {}
+            for mults, s in partial.items():
+                room = wanted if b == 0 else range(top - sum(mults[:b]) + 1)
+                _product(powers[b][mults[b]], s, room, summed.setdefault(mults[:b], {}))
+            partial = summed
+        out[attach] = partial[()]
+    return SModClass(_atoms(out))

@@ -11,6 +11,7 @@ test_calculator.py needs them.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from dataclasses import dataclass
 
 from covermotive.errors import CoverMotiveError
@@ -152,3 +153,26 @@ def eval_at(poly: MotivePoly, x: int) -> int:
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def keel_class(n: int) -> MotivePoly:
+    """Class of the compactified moduli of n marked points on a line, by
+    Keel's recursion (Trans. AMS 330, 1992):
+
+        P_3 = 1,  P_{n+1} = (1 + q) P_n + (q/2) sum_{j=2}^{n-2} C(n, j) P_{j+1} P_{n-j+1}.
+
+    It builds no tree and no marking, so it shares nothing with either route.
+    """
+    if n < 3:
+        raise ValueError(f"need at least 3 marked points, got {n}")
+    one_plus_q = MotivePoly.of([1, 1])
+    classes = {3: MotivePoly.of([1])}
+    for m in range(3, n):
+        pairs = ZERO
+        for j in range(2, m - 1):
+            pairs = pairs + (classes[j + 1] * classes[m - j + 1]).scale(comb(m, j))
+        if any(c % 2 for c in pairs.coeffs):
+            raise ValueError(f"odd coefficient in the pair sum at {m + 1} points")
+        half = MotivePoly.of([0] + [c // 2 for c in pairs.coeffs])
+        classes[m + 1] = one_plus_q * classes[m] + half
+    return classes[n]

@@ -8,8 +8,8 @@ from covermotive.smodules import SModClass
 
 
 def forget_class(x: SModClass, n: int) -> MotivePoly:
-    """Total class of the degree-n part."""
+    """Total class of the degree-n part: each type's class once per tuple."""
     acc = ZERO
     for a in x.part(n):
-        acc = acc + a.cls.scale(a.weight)
+        acc = acc + a.cls.scale(a.tuple_count)
     return acc

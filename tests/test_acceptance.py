@@ -35,15 +35,17 @@ from covermotive.smodules import (
     Atom,
     SModClass,
     compose,
-    set_partitions,
+    day_convolve,
     shift_root,
     stats,
+    type_of,
     unit_i1,
     unit_i2,
 )
 from covermotive.trees import enumerate_stable_trees, profile_counts
 from oracles import brute_force_m0n_count, brute_force_tree_count, eval_at
 from smodule_totals import forget_class
+from smodules_oracle import set_partitions
 
 MATRIX_NS = (4, 5, 6)
 
@@ -201,15 +203,14 @@ def test_criterion_07_point_counts():
 
 
 def _random_symmetric_rooted(rng: random.Random, ncls: int) -> SModClass:
+    """Random rooted types of degree 1 or 2; a module on types is symmetric."""
     atoms = []
     for _ in range(rng.randrange(1, 4)):
         d = rng.randrange(1, 3)
         evals = tuple(rng.randrange(ncls) for _ in range(d))
         attach = (rng.randrange(ncls),)
         cls = MotivePoly.of([rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))])
-        weight = rng.randrange(1, 3)
-        for perm in set(itertools.permutations(evals)):
-            atoms.append(Atom(perm, attach, cls, weight))
+        atoms.append(Atom(type_of(evals, ncls), attach, cls))
     return SModClass(atoms)
 
 
@@ -237,7 +238,8 @@ def test_criterion_08_engine_laws():
         lifted = forget_class(dbar, k)
         ok = ok and lifted == forget_class(bbar, k + 1)
 
-    # Partition counts: n! / (prod k_i! * prod mult_j!) for every block profile.
+    # Partition counts of the tuple oracle's set partitions:
+    # n! / (prod k_i! * prod mult_j!) for every block profile.
     for n in range(1, 9):
         profiles = Counter(tuple(sorted(len(b) for b in p)) for p in set_partitions(n))
         for parts in range(1, n + 1):
@@ -267,7 +269,16 @@ def test_criterion_08_engine_laws():
         trials += 1
     ok = ok and trials >= 50
 
-    # Freeness checks ran throughout the recursion matrix.
+    # Interchange: composition distributes over the graded product.
+    rng = random.Random(45)
+    for _ in range(10):
+        x1, x2, w = (_random_symmetric_rooted(rng, 2) for _ in range(3))
+        degrees = set(range(0, 9))
+        left = compose(day_convolve(x1, x2, degrees), w, degrees)
+        right = day_convolve(compose(x1, w, degrees), compose(x2, w, degrees), degrees)
+        ok = ok and left == right
+
+    # The exact divisions of the slot quotient ran throughout the recursion matrix.
     if "checks" not in _matrix_freeness:
         checks_before = stats.freeness_checks
         Calculator(build_cyclic(3)).verify_main_theorem(5)
@@ -276,9 +287,9 @@ def test_criterion_08_engine_laws():
 
     assert _report(
         8,
-        "engine laws: units, root shift, partition counts, associativity, freeness",
+        "engine laws: units, root shift, partition counts, associativity, interchange",
         ok,
-        f"freeness checks during recursion: {_matrix_freeness['checks']}",
+        f"exact slot-quotient divisions during recursion: {_matrix_freeness['checks']}",
     )
 
 

@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 
 from covermotive.calculator import Calculator, build_report
-from covermotive.errors import UnsupportedNonabelian
+from covermotive.errors import InexactDivision, UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
-from covermotive.smodules import Atom, day_convolve, unit_i2
+from covermotive.smodules import Atom, day_convolve
 from covermotive.trees import (
     enumerate_stable_trees,
     gerby_markings,
@@ -19,6 +19,7 @@ from covermotive.trees import (
 )
 from oracles import leaf_of_label, stratum_class
 from smodule_totals import forget_class
+from smodules_oracle import oracle_terms
 
 TRIVIAL = MotivePoly.of  # shorthand for expected values
 
@@ -100,17 +101,18 @@ def test_open_class():
     assert forget_class(trivial.open_module(4), 4) == TRIVIAL([-2, 1])
     calc = _calc(build_cyclic(2))
     assert forget_class(calc.open_module(4), 4) == TRIVIAL([-16, 8])
-    by_marking = {a.evals: a.cls.scale(a.weight) for a in calc.open_module(4).part(4)}
-    assert by_marking[(1, 1, 1, 1)] == TRIVIAL([-2, 1])
-    assert by_marking.get((1, 0, 0, 0), ZERO) == ZERO
+    by_type = {a.mults: a.cls for a in calc.open_module(4).part(4)}
+    assert by_type[(0, 4)] == TRIVIAL([-2, 1])
+    assert by_type.get((3, 1), ZERO) == ZERO
+    assert sorted(by_type) == [(0, 4), (2, 2), (4, 0)]
 
 
 def _tail(calc: Calculator, n: int, k: int, c: int) -> MotivePoly:
-    """Degree-k tails of dbar_module(n) rooted at class c, summed."""
+    """Degree-k tails of dbar_module(n) rooted at class c, summed over tuples."""
     acc = ZERO
     for atom in calc.dbar_module(n).part(k):
         if atom.attach == (calc.iota(c),):
-            acc = acc + atom.cls.scale(atom.weight)
+            acc = acc + atom.cls.scale(atom.tuple_count)
     return acc
 
 
@@ -129,12 +131,12 @@ def test_modules_shape():
     trivial = _calc(build_cyclic(1))
     om = trivial.open_module(4)
     assert om.degrees() == [3, 4]
-    assert om.part(3) == (Atom((0, 0, 0), (), ONE, 1),)
+    assert om.part(3) == (Atom((3,), (), ONE),)
     dbar = trivial.dbar_module(4)
     assert dbar.degrees() == [2]
     atoms = dbar.part(2)
     assert len(atoms) == 1
-    assert atoms[0].evals == (0, 0)
+    assert atoms[0].mults == (2,)
     assert atoms[0].attach == (0,)
     assert atoms[0].cls == ONE
 
@@ -164,12 +166,41 @@ def test_ordered_pairs_convolve_only_unit_pairs():
     for group in (build_cyclic(3), build_product_cyclic([2, 2])):
         calc = Calculator(group)
         dbar = calc.dbar_module(6)
-        units = {a.evals for a in unit_i2(group).part(2)}
+        units = {(c, calc.iota(c)) for c in range(calc.conj.count)}
         full = day_convolve(dbar, dbar, degrees={6}).part(6)
         expected = Counter(a for a in full if a.attach in units)
         got = Counter(calc._term_atoms(6)[2])
         assert got == expected
         assert len(expected) < len(full)
+
+
+@pytest.mark.parametrize(
+    "group, degrees",
+    [
+        (build_cyclic(1), (4, 5, 6)),
+        (build_cyclic(2), (4, 5, 6, 7)),
+        (build_cyclic(3), (4, 5, 6)),
+        (build_product_cyclic([2, 2]), (4, 5, 6)),
+    ],
+    ids=["C1", "C2", "C3", "C2xC2"],
+)
+def test_terms_match_tuple_oracle(group, degrees):
+    calc = _calc(group)
+    for n in degrees:
+        assert calc.terms(n) == oracle_terms(calc, n), f"{group.name}, n = {n}"
+
+
+def test_bbar_module_rejects_asymmetric_classes():
+    # A sweep whose per-marking classes differ within a type cannot become
+    # a module on types; the boundary check names the type.
+    calc = Calculator(build_cyclic(2))
+    sweep = calc.sweep(4)
+    sweep.per_marking[(0, 1, 1, 0)] = sweep.per_marking[(0, 1, 1, 0)].scale(2)
+    with pytest.raises(InexactDivision, match=r"classes \['2\*q \+ 2', 'q \+ 1'\]"):
+        calc.bbar_module(4)
+    del sweep.per_marking[(0, 1, 1, 0)]
+    with pytest.raises(InexactDivision, match=r"5 of the 6 tuples of type \(2, 2\)"):
+        calc.bbar_module(4)
 
 
 def test_mainprop_identities_n4():

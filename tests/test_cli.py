@@ -377,8 +377,11 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-# stdout of the tree-bound commands as printed by the enumerating engine,
-# before tree counts came from valence profiles; each took 80-417 s then.
+# stdout as printed before either engine was replaced: the tree-bound
+# commands by the enumerating engine, before tree counts came from valence
+# profiles (each took 80-417 s then), and the recursion-bound verify and
+# class --with-verification commands by the tuple engine, before the
+# recursion moved onto class types (32-286 s then).
 GOLDEN = {
     "trees --n 9": (
         46, "2b39bce743474803be6558b0aaa838cd5943af4df71dbe3cbd8189225f71c7c4"
@@ -394,6 +397,15 @@ GOLDEN = {
     ),
     "trees --n 6 --group product_cyclic:2,2 --csv": (
         4519, "d3bb3a350b6b41c5edf60d494cd93bdee39320ba5562d3c3fb03bf2cb11f6b18"
+    ),
+    "verify --group cyclic:3 --n 8 --all-props": (
+        1029, "a936500113092dc40ec7cfa0d009b79819918db7efa719dca2c28d147b4349ec"
+    ),
+    "verify --group product_cyclic:2,2 --n 8 --all-props": (
+        1086, "c294e0923cace8be6be82a46fb65d09af81bbd646b4b82d6da42dd1a95f1827a"
+    ),
+    "class --group product_cyclic:2,2 --n 8 --per-marking --with-verification": (
+        819909, "4ce01d4b393bc4a792daf22356f85c49be0d73f43cb86aa407e3980f3c19553e"
     ),
 }
 

@@ -1,0 +1,57 @@
+"""Both routes against Keel's closed recursion, and palindromic output.
+
+For abelian G every product-one marking carries the class of the compactified
+moduli of n points, so class_bbar(n) = |G|^(n-1) P_n with P_n from Keel's
+recursion (tests/oracles.py).  That space is smooth and projective, so by
+Poincare duality every class that `class` prints, total or per marking, is
+palindromic.  The sweep builds its classes from open-stratum factors that are
+not palindromic (class_m0n(6) is q^3 - 9q^2 + 26q - 24), so neither check
+holds by construction.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from covermotive.calculator import Calculator, build_report
+from covermotive.groups import build_cyclic, build_product_cyclic
+from covermotive.motives import MotivePoly
+from oracles import keel_class
+
+CASES = [
+    (build_cyclic(1), 9),
+    (build_cyclic(2), 8),
+    (build_cyclic(3), 8),
+    (build_product_cyclic([2, 2]), 8),
+]
+IDS = ["C1", "C2", "C3", "C2xC2"]
+
+
+def _palindromic(p: MotivePoly) -> bool:
+    return p.coeffs == p.coeffs[::-1]
+
+
+def test_keel_recursion_values():
+    assert [keel_class(n).coeffs for n in (3, 4, 5, 6)] == [(1,), (1, 1), (1, 5, 1), (1, 16, 16, 1)]
+    assert keel_class(8).coeffs == (1, 99, 715, 715, 99, 1)
+    assert keel_class(9).coeffs == (1, 219, 3292, 7723, 3292, 219, 1)
+
+
+@pytest.mark.parametrize("group, top", CASES, ids=IDS)
+def test_both_routes_equal_keel_closed_form(group, top):
+    calc = Calculator(group)
+    for n in range(3, top + 1):
+        want = keel_class(n).scale(group.order ** (n - 1))
+        assert calc.class_bbar(n) == want, f"stratification, n = {n}"
+        t1, t2, t3 = calc.terms(n)
+        assert t1 + t2 - t3 == want, f"recursion, n = {n}"
+
+
+@pytest.mark.parametrize("group, top", CASES, ids=IDS)
+def test_printed_classes_are_palindromic(group, top):
+    calc = Calculator(group)
+    for n in range(3, top + 1):
+        report = build_report(calc, n, with_per_marking=True)
+        assert _palindromic(report.cls), f"total, n = {n}"
+        for marking, cls in report.per_marking.items():
+            assert _palindromic(cls), f"marking {marking}"

@@ -1,9 +1,14 @@
-"""Laws of the graded composition engine.
+"""Laws of the graded composition engine, on types and on the tuple oracle.
 
-The randomized inputs here are always closed under permuting evaluations:
+covermotive.smodules stores a symmetric module by type; smodules_oracle.py is
+the tuple engine it replaced, one atom per evaluation tuple, kept in tests/
+as its oracle.  The tuple-level tests below run on the oracle; the type_
+tests restate the laws on the type engine and compare the two engines.
+
+The randomized tuple inputs are always closed under permuting evaluations:
 that closure (plus distinct shuffle blocks) is what lets one shuffle per slot
 orbit stand for the quotient, so it is the hypothesis under which the laws
-are stated.
+are stated.  Type inputs are symmetric by construction.
 """
 
 from __future__ import annotations
@@ -15,16 +20,18 @@ from math import factorial, prod
 
 import pytest
 
+import covermotive.smodules as sm
 from covermotive.errors import (
     InexactDivision,
     MissingEvaluations,
     NonEmptyDegreeZero,
-    NonFreeAction,
 )
 from covermotive.groups import build_cyclic, build_product_cyclic, conjugacy_classes
 from covermotive.motives import ONE, MotivePoly, Q
-from covermotive.smodules import (
+from smodule_totals import forget_class
+from smodules_oracle import (
     Atom,
+    NonFreeAction,
     SModClass,
     _check_rigid,
     compose,
@@ -35,7 +42,6 @@ from covermotive.smodules import (
     unit_i1,
     unit_i2,
 )
-from smodule_totals import forget_class
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
@@ -83,9 +89,10 @@ def test_smodclass_union_and_equality():
 
 
 def test_forget_class_sums_weighted():
-    x = SModClass([Atom((0,), (), Q, 2), Atom((1,), (), ONE, 3)])
-    assert forget_class(x, 1) == MotivePoly.of([3, 2])
-    assert forget_class(x, 2).is_zero
+    # Type (2, 0) has one tuple of class q; type (1, 1) has two of class 1.
+    x = sm.SModClass([sm.Atom((2, 0), (), Q), sm.Atom((1, 1), (), ONE)])
+    assert forget_class(x, 2) == MotivePoly.of([2, 1])
+    assert forget_class(x, 1).is_zero
 
 
 def test_units():
@@ -288,3 +295,184 @@ def test_freeness_counters_advance():
     checks_before = stats.freeness_checks
     compose(unit_i2(Z2), unit_i1(Z2), {2})
     assert stats.freeness_checks > checks_before
+
+
+# ---- the type engine ----
+
+
+def _random_type_module(rng: random.Random, classes: int, max_degree: int = 3) -> sm.SModClass:
+    """A few rooted types with random classes; symmetric by construction."""
+    atoms = []
+    for _ in range(rng.randrange(1, 4)):
+        evals = [rng.randrange(classes) for _ in range(rng.randrange(1, max_degree + 1))]
+        cls = MotivePoly.of([rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))])
+        atoms.append(sm.Atom(sm.type_of(evals, classes), (rng.randrange(classes),), cls))
+    return sm.SModClass(atoms)
+
+
+def _as_tuples(x: sm.SModClass) -> SModClass:
+    """The same module on the tuple oracle: every tuple of every type."""
+    return SModClass(
+        Atom(evals, a.attach, a.cls, 1) for a in x.atoms() for evals in sm.tuples_of(a.mults)
+    )
+
+
+def _tuple_classes(x: SModClass) -> dict[tuple, MotivePoly]:
+    """(evaluations, attachment) -> class of a tuple module, weights multiplied in."""
+    out: dict[tuple, MotivePoly] = {}
+    for a in x.atoms():
+        key = (a.evals, a.attach)
+        out[key] = out.get(key, MotivePoly()) + a.cls.scale(a.weight)
+    return {key: cls for key, cls in out.items() if not cls.is_zero}
+
+
+def test_type_of_and_tuples_of():
+    assert sm.type_of((2, 0, 2), 3) == (1, 0, 2)
+    assert sm.tuples_of((1, 0, 2)) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    assert sm.tuples_of((0, 0)) == [()]
+    for mults in ((3, 1), (2, 2, 1), (0, 4)):
+        atom = sm.Atom(mults, (), ONE)
+        tuples = sm.tuples_of(mults)
+        assert len(tuples) == len(set(tuples)) == atom.tuple_count
+        assert all(sm.type_of(t, len(mults)) == mults for t in tuples)
+
+
+def test_type_smodclass_normalizes():
+    x = sm.SModClass([sm.Atom((1, 0), (), ONE), sm.Atom((1, 0), (), Q)])
+    assert x.part(1) == (sm.Atom((1, 0), (), MotivePoly.of([1, 1])),)
+    y = sm.SModClass([sm.Atom((1, 0), (), ONE), sm.Atom((1, 0), (), -ONE)])
+    assert y == sm.SModClass() and y.degrees() == []
+
+
+def test_from_tuples_requires_every_tuple_of_a_type():
+    full = {((0, 1), ()): Q, ((1, 0), ()): Q, ((1, 1), ()): ONE}
+    x = sm.SModClass.from_tuples(full, 2)
+    assert x.part(2) == (sm.Atom((0, 2), (), ONE), sm.Atom((1, 1), (), Q))
+    # A zero class is an absent tuple.
+    assert sm.SModClass.from_tuples({**full, ((0, 0), ()): MotivePoly()}, 2) == x
+    with pytest.raises(InexactDivision, match="1 of the 2 tuples of type"):
+        sm.SModClass.from_tuples({((0, 1), ()): Q}, 2)
+    with pytest.raises(InexactDivision, match=r"classes \['1', 'q'\]"):
+        sm.SModClass.from_tuples({((0, 1), ()): Q, ((1, 0), ()): ONE}, 2)
+
+
+def test_type_units():
+    z3 = build_cyclic(3)
+    assert sm.unit_i1(z3) == sm.SModClass(
+        sm.Atom(sm.type_of((c,), 3), (c,), ONE) for c in range(3)
+    )
+    # (1, 2) and (2, 1) are the two tuples of one type.
+    assert sm.unit_i2(z3).part(2) == (sm.Atom((0, 1, 1), (), ONE), sm.Atom((2, 0, 0), (), ONE))
+    assert _as_tuples(sm.unit_i2(z3)) == unit_i2(z3)
+
+
+def test_type_shift_root():
+    for group in (Z2, Z3, V4):
+        assert sm.shift_root(sm.unit_i2(group), group) == sm.unit_i1(group)
+    # Type (1, 1, 0) over C3: dropping a 0 roots the rest at 0, dropping a 1 at 2.
+    x = sm.SModClass([sm.Atom((1, 1, 0), (), Q)])
+    assert sm.shift_root(x, Z3).atoms() == [
+        sm.Atom((0, 1, 0), (0,), Q),
+        sm.Atom((1, 0, 0), (2,), Q),
+    ]
+    with pytest.raises(MissingEvaluations):
+        sm.shift_root(sm.SModClass([sm.Atom((0, 0), (), ONE)]), Z2)
+    with pytest.raises(ValueError):
+        sm.shift_root(sm.unit_i1(Z2), Z2)
+
+
+def test_type_day_convolve_binomials():
+    x = sm.SModClass([sm.Atom((1, 0), (), ONE)])
+    y = sm.SModClass([sm.Atom((0, 2), (), ONE)])
+    # Each of the three tuples of type (1, 2) splits one way.
+    assert sm.day_convolve(x, y, {3}).atoms() == [sm.Atom((1, 2), (), ONE)]
+    # The tuple (0, 0) splits two ways between two degree-1 factors.
+    assert sm.day_convolve(x, x, {2}).atoms() == [sm.Atom((2, 0), (), MotivePoly.of([2]))]
+    u0 = sm.SModClass([sm.Atom((0, 0), (), ONE)])
+    assert sm.day_convolve(x, u0, {1}) == x == sm.day_convolve(u0, x, {1})
+    assert sm.day_convolve(x, y, {2}) == sm.SModClass()
+
+
+def test_type_engine_matches_tuple_oracle():
+    rng = random.Random(29)
+    for trial in range(8):
+        group = (Z2, Z3)[trial % 2]
+        x = _random_type_module(rng, group.order, max_degree=2)
+        y = _random_type_module(rng, group.order, max_degree=2)
+        w = _random_type_module(rng, group.order, max_degree=2)
+        degrees = set(range(1, 7))
+        got = _tuple_classes(_as_tuples(sm.compose(x, w, degrees)))
+        assert got == _tuple_classes(compose(_as_tuples(x), _as_tuples(w), degrees)), trial
+        got = _tuple_classes(_as_tuples(sm.day_convolve(x, y, degrees)))
+        assert got == _tuple_classes(day_convolve(_as_tuples(x), _as_tuples(y))), trial
+
+
+def test_type_compose_units():
+    rng = random.Random(3)
+    for group in (Z2, Z3, V4):
+        w = _random_type_module(rng, conjugacy_classes(group).count)
+        degrees = set(w.degrees())
+        assert sm.compose(sm.unit_i1(group), w, degrees) == w
+        assert sm.compose(w, sm.unit_i1(group), degrees) == w
+
+
+def test_type_compose_associativity_randomized():
+    rng = random.Random(17)
+    for trial in range(12):
+        classes = (2, 3)[trial % 2]
+        x, y, z = (_random_type_module(rng, classes, max_degree=2) for _ in range(3))
+        degrees = set(range(1, 7))
+        left = sm.compose(sm.compose(x, y, degrees), z, degrees)
+        right = sm.compose(x, sm.compose(y, z, degrees), degrees)
+        assert left == right, f"trial {trial}"
+
+
+def test_type_compose_interchange_with_day_convolution():
+    rng = random.Random(23)
+    for trial in range(6):
+        x1, x2, w = (_random_type_module(rng, 2, max_degree=2) for _ in range(3))
+        degrees = set(range(0, 9))
+        left = sm.compose(sm.day_convolve(x1, x2, degrees), w, degrees)
+        right = sm.day_convolve(sm.compose(x1, w, degrees), sm.compose(x2, w, degrees), degrees)
+        assert left == right, f"trial {trial}"
+
+
+def test_type_compose_edge_cases():
+    x = sm.unit_i2(Z2)
+    with pytest.raises(MissingEvaluations):
+        sm.compose(x, sm.SModClass([sm.Atom((1, 0), (), ONE)]), {2})
+    with pytest.raises(NonEmptyDegreeZero):
+        sm.compose(x, sm.SModClass([sm.Atom((0, 0), (0,), ONE)]), {2})
+    assert sm.compose(x, sm.unit_i1(Z2), set()) == sm.SModClass()
+    assert sm.compose(sm.SModClass(), sm.unit_i1(Z2), {1}) == sm.SModClass()
+    assert sm.compose(x, sm.SModClass(), {2}) == sm.SModClass()
+    constant = sm.SModClass([sm.Atom((0, 0), (), Q)])
+    assert sm.compose(constant, sm.unit_i1(Z2), {0}) == constant
+
+
+def test_division_check_rejects_a_remainder():
+    with pytest.raises(InexactDivision, match="not divisible by 2"):
+        sm._divided({1: {(1, 0): MotivePoly.of([2, 3])}}, 2)
+    assert sm._divided({1: {(1, 0): MotivePoly.of([2, 4])}}, 2) == {
+        1: {(1, 0): MotivePoly.of([1, 2])}
+    }
+
+
+def test_division_check_catches_a_product_without_binomials(monkeypatch):
+    # With every binomial read as 1, x_0 * x_0 gives the tuple (0, 0) class 1
+    # instead of 2, and halving it for the divided square is inexact.
+    outer = sm.SModClass([sm.Atom((2, 0), (), ONE)])
+    assert sm.compose(outer, sm.unit_i1(Z2), {2}) == outer
+    monkeypatch.setattr(sm, "comb", lambda n, k: 1)
+    with pytest.raises(InexactDivision):
+        sm.compose(outer, sm.unit_i1(Z2), {2})
+
+
+def test_type_freeness_counter_counts_divisions():
+    before = sm.stats.freeness_checks
+    # One divided square, with one coefficient: x_0^2 / 2.
+    sm.compose(sm.SModClass([sm.Atom((2, 0), (), ONE)]), sm.unit_i1(Z2), {2})
+    assert sm.stats.freeness_checks == before + 1
+    # A square-free outer type divides nothing.
+    sm.compose(sm.SModClass([sm.Atom((1, 1), (), ONE)]), sm.unit_i1(Z2), {2})
+    assert sm.stats.freeness_checks == before + 1
