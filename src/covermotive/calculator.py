@@ -108,6 +108,8 @@ class Calculator:
     # ---- stratification route ----
 
     def topologies(self, n: int) -> list[NTree]:
+        """The stable n-trees, built one by one.  No route calls this; it stays
+        only as a binding that perfbench/trace_child.py wraps, as GerbyTree does."""
         return enumerate_stable_trees(n, self.tree_cap)
 
     def sweep(self, n: int) -> StrataSweep:
@@ -264,20 +266,19 @@ class Calculator:
         )
 
     def euler_identity_check(self, n: int) -> bool:
-        """Per tree: 1 + (#flags - #leaves) = #vertices + #edges.
+        """Per valence profile: 1 + (#flags - #leaves) = #vertices + #edges.
 
-        This holds by construction and cannot fail: every tree built has
-        flags = n + 2E (one per leaf, two per edge) and V = E + 1, so both
+        A profile lists the valences of a tree's V vertices, so its sum is
+        the flag count and V - 1 is the edge count.  This holds by
+        construction and cannot fail: profile_counts adds each leaf either
+        as one flag on a vertex or on a new trivalent vertex, which brings
+        one new edge, so every profile it yields has n + 2E flags and both
         sides equal 2E + 1.  Its line stays in the `verify --all-props`
         output as a consistency report, not as an independent check.
         """
-        for nt in self.topologies(n):
-            tree = nt.tree
-            flags = tree.flag_count
-            leaves = len(tree.leaves())
-            if 1 + (flags - leaves) != tree.vertex_count + len(tree.edges()):
-                return False
-        return True
+        return all(
+            1 + (sum(p) - n) == len(p) + (len(p) - 1) for p in profile_counts(n, self.tree_cap)
+        )
 
 
 @dataclass

@@ -218,8 +218,9 @@ def _calculator(args) -> Calculator:
     """Load the group; refuse n < 3 and degrees beyond the marking or tree cap.
 
     The sweep lists the product-one class tuples of each degree up to n, the
-    recursion works on their types, and verify --all-props enumerates the
-    stable trees, so the checks bound every enumeration before it starts.
+    recursion works on their types, and the strata and verify --all-props's
+    flag count line are read off the valence profiles of the stable n-trees,
+    so the checks bound every enumeration before it starts.
     """
     _require_n(args, 3)
     group = _load_group(args)

@@ -16,6 +16,7 @@ of an edge in a marked tree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,12 +100,16 @@ def _light_holds(table: list[list[int]], s: int) -> bool:
     return all(table[row[s]] == [row[v] for v in col] for row in table)
 
 
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise MalformedSpec(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+
+
 def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
     n = len(table)
     if n == 0:
         raise MalformedSpec("empty multiplication table")
-    if n > MAX_ORDER:
-        raise MalformedSpec(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+    _check_order(n)
     for row in table:
         if len(row) != n:
             raise MalformedSpec("multiplication table is not square")
@@ -157,6 +162,7 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
 def build_cyclic(k: int) -> FiniteGroup:
     if k < 1:
         raise MalformedSpec(f"cyclic order must be positive, got {k}")
+    _check_order(k)
     table = [[(a + b) % k for b in range(k)] for a in range(k)]
     return _validate_table(table, f"C{k}")
 
@@ -164,29 +170,13 @@ def build_cyclic(k: int) -> FiniteGroup:
 def build_product_cyclic(ks: list[int]) -> FiniteGroup:
     if not ks or any(k < 1 for k in ks):
         raise MalformedSpec(f"cyclic factors must be positive, got {ks}")
-    order = 1
-    for k in ks:
-        order *= k
-    if order > MAX_ORDER:
-        raise MalformedSpec(f"order {order} exceeds the supported maximum {MAX_ORDER}")
-
-    def decode(i: int) -> list[int]:
-        digits = []
-        for k in ks:
-            digits.append(i % k)
-            i //= k
-        return digits
-
-    def encode(digits: list[int]) -> int:
-        i, stride = 0, 1
-        for d, k in zip(digits, ks):
-            i += d * stride
-            stride *= k
-        return i
-
-    digits = [decode(i) for i in range(order)]
+    order = math.prod(ks)
+    _check_order(order)
+    strides = [math.prod(ks[:i]) for i in range(len(ks))]
+    digits = [[i // s % k for s, k in zip(strides, ks)] for i in range(order)]
     table = [
-        [encode([(x + y) % k for x, y, k in zip(da, db, ks)]) for db in digits] for da in digits
+        [sum((x + y) % k * s for x, y, k, s in zip(da, db, ks, strides)) for db in digits]
+        for da in digits
     ]
     return _validate_table(table, "x".join(f"C{k}" for k in ks))
 
@@ -198,8 +188,7 @@ def build_dihedral(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise MalformedSpec(f"dihedral parameter must be positive, got {k}")
-    if 2 * k > MAX_ORDER:
-        raise MalformedSpec(f"order {2 * k} exceeds the supported maximum {MAX_ORDER}")
+    _check_order(2 * k)
     table = []
     for a in range(2 * k):
         e1, r1 = divmod(a, k)
@@ -213,15 +202,21 @@ def build_dihedral(k: int) -> FiniteGroup:
     return _validate_table(table, f"D{k}")
 
 
+def _permutation_group(perms, name: str) -> FiniteGroup:
+    """The table of a set of permutations closed under composition, in sorted order."""
+    elements = sorted(perms)
+    index = {p: i for i, p in enumerate(elements)}
+    table = [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
+    return _validate_table(table, name)
+
+
 def build_symmetric(k: int) -> FiniteGroup:
     if k < 1:
         raise MalformedSpec(f"symmetric parameter must be positive, got {k}")
-    perms = sorted(itertools.permutations(range(k)))
-    if len(perms) > MAX_ORDER:
-        raise MalformedSpec(f"order {len(perms)} exceeds the supported maximum {MAX_ORDER}")
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms]
-    return _validate_table(table, f"S{k}")
+    # any() stops at the first i with i! > MAX_ORDER, so a large k costs nothing.
+    if any(math.factorial(i) > MAX_ORDER for i in range(k + 1)):
+        raise MalformedSpec(f"order {k}! exceeds the supported maximum {MAX_ORDER}")
+    return _permutation_group(itertools.permutations(range(k)), f"S{k}")
 
 
 def build_from_permutations(gens: list[list[int]]) -> FiniteGroup:
@@ -248,11 +243,7 @@ def build_from_permutations(gens: list[list[int]]) -> FiniteGroup:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-
-    elements = sorted(seen)
-    index = {p: i for i, p in enumerate(elements)}
-    table = [[index[tuple(p[q[i]] for i in range(d))] for q in elements] for p in elements]
-    return _validate_table(table, f"perm<{len(elements)}>")
+    return _permutation_group(seen, f"perm<{len(seen)}>")
 
 
 def build_from_cayley(table: list[list[int]]) -> FiniteGroup:

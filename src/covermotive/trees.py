@@ -12,8 +12,8 @@ Up to isomorphism they correspond to laminar families over {2, ..., n}: root
 the tree at the vertex holding leaf 1, and record for every edge the set of
 leaf labels behind it.  Members have size between 2 and n - 2 and are
 pairwise nested or disjoint, and every such family arises.  That bijection
-drives the enumerator, which only `trees --dot` and the per-tree flag count
-identity use; tests/oracles.py holds an independent brute-force count.
+drives the enumerator, which only `trees --dot` uses; tests/oracles.py holds
+an independent brute-force count.
 
 Every number printed about the strata depends only on how many trees have
 each valence profile, and profile_counts finds those without building a

@@ -168,6 +168,41 @@ def test_verify_all_props(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_all_props_builds_no_tree(capsys, monkeypatch):
+    # The flag count line is read off the valence profiles, so it needs no tree.
+    import covermotive.trees as trees
+    from covermotive.calculator import Calculator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify --all-props built a stable tree")
+
+    monkeypatch.setattr(trees, "enumerate_stable_trees", refuse)
+    monkeypatch.setattr(Calculator, "topologies", refuse)
+    code, out, _ = _run(capsys, "verify", "--group", "cyclic:2", "--n", "6", "--all-props")
+    assert code == 0
+    assert "per-tree flag count identity: HOLDS" in out
+
+
+def test_verify_all_props_reports_a_broken_flag_count(capsys, monkeypatch):
+    # (4, 4) has 8 flags, but at n = 5 its 5 leaves and one edge make 7.
+    # With weight 0 it leaves every stratum sum as it was, so only the flag
+    # count line can see it, and that line alone must fail the run.
+    import covermotive.calculator as calculator
+
+    real = calculator.profile_counts
+
+    def forged(n, cap):
+        counts = real(n, cap)
+        counts[(4, 4)] = 0
+        return counts
+
+    monkeypatch.setattr(calculator, "profile_counts", forged)
+    code, out, _ = _run(capsys, "verify", "--group", "cyclic:2", "--n", "5", "--all-props")
+    assert code == 1
+    assert "per-tree flag count identity: FAILS" in out
+    assert "MISMATCH" not in out
+
+
 def test_verify_deterministic_across_runs(capsys):
     runs = set()
     for _ in range(2):
@@ -406,6 +441,9 @@ GOLDEN = {
     ),
     "class --group product_cyclic:2,2 --n 8 --per-marking --with-verification": (
         819909, "4ce01d4b393bc4a792daf22356f85c49be0d73f43cb86aa407e3980f3c19553e"
+    ),
+    "verify --group cyclic:2 --n 9 --all-props": (
+        1162, "4b6b04493ed703a0eb0ecc7e7ecdbb562c5a199240e2b232a855e188af6c26b7"
     ),
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -191,10 +192,24 @@ def test_largest_builtins_keep_identity_and_inverses():
 
 
 def test_order_cap():
-    with pytest.raises(MalformedSpec):
-        build_cyclic(MAX_ORDER + 1)
-    with pytest.raises(MalformedSpec):
-        build_product_cyclic([16, 16])
+    # Each order is refused before a table or a permutation list is built, so
+    # refusing stays small however far past the cap the request is.
+    for build, arg in (
+        (build_cyclic, MAX_ORDER + 1),
+        (build_cyclic, 2000),
+        (build_product_cyclic, [16, 16]),
+        (build_dihedral, 128),
+        (build_symmetric, 6),
+        (build_symmetric, 9),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedSpec, match=f"exceeds the supported maximum {MAX_ORDER}"):
+                build(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (build.__name__, arg, peak)
 
 
 def test_build_group_dispatch():
