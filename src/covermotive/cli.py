@@ -71,8 +71,6 @@ def _require_n(args, least: int) -> None:
 
 def _parse_builtin(text: str) -> dict:
     kind, _, params = text.partition(":")
-    if kind not in ("cyclic", "product_cyclic", "dihedral", "symmetric"):
-        raise MalformedSpec(f"unknown builtin family {kind!r}")
     try:
         values = [int(p) for p in params.split(",")] if params else []
     except ValueError:
@@ -86,7 +84,7 @@ def _load_group(args) -> FiniteGroup:
             spec = json.loads(Path(args.group_file).read_text())
         except OSError as exc:
             raise MalformedSpec(f"cannot read group file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
             raise MalformedSpec(f"group file is not valid JSON: {exc}")
         if isinstance(spec, dict):
             spec.pop("schema", None)

@@ -170,8 +170,10 @@ def build_cyclic(k: int) -> FiniteGroup:
 def build_product_cyclic(ks: list[int]) -> FiniteGroup:
     if not ks or any(k < 1 for k in ks):
         raise MalformedSpec(f"cyclic factors must be positive, got {ks}")
-    order = math.prod(ks)
-    _check_order(order)
+    order = 1
+    for k in ks:  # stop at the first partial product past the cap, as build_symmetric does
+        order *= k
+        _check_order(order)
     strides = [math.prod(ks[:i]) for i in range(len(ks))]
     digits = [[i // s % k for s, k in zip(strides, ks)] for i in range(order)]
     table = [

@@ -242,7 +242,7 @@ def test_hurwitz_mod_conj(capsys):
     )
 
 
-def test_exit_code_malformed_spec(capsys):
+def test_exit_code_malformed_spec(capsys, tmp_path):
     code, _, err = _run(capsys, "group", "--group", "frobnicate:5")
     assert code == 2
     assert "error:" in err
@@ -258,6 +258,13 @@ def test_exit_code_malformed_spec(capsys):
         assert out == ""
     code, _, _ = _run(capsys, "group")
     assert code == 2
+    # An integer past the interpreter's 4300-digit limit for parsing.
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"builtin": {"kind": "cyclic", "params": [1' + "0" * 5000 + "]}}")
+    code, out, err = _run(capsys, "group", "--group-file", str(spec))
+    assert code == 2
+    assert "not valid JSON" in err
+    assert out == ""
 
 
 def test_exit_code_not_a_group(capsys, tmp_path):

@@ -198,6 +198,7 @@ def test_order_cap():
         (build_cyclic, MAX_ORDER + 1),
         (build_cyclic, 2000),
         (build_product_cyclic, [16, 16]),
+        (build_product_cyclic, [10000] * 1100),
         (build_dihedral, 128),
         (build_symmetric, 6),
         (build_symmetric, 9),

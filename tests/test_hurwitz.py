@@ -39,8 +39,16 @@ def _product(group, v):
 
 
 def test_enumeration_count_and_product():
-    for group in (build_cyclic(3), build_product_cyclic([2, 2]), build_symmetric(3)):
-        for n in (2, 3, 4):
+    small_groups = [build_cyclic(k) for k in range(1, 9)] + [
+        build_product_cyclic([2, 2]),
+        build_product_cyclic([2, 4]),
+        build_product_cyclic([2, 2, 2]),
+        build_dihedral(3),
+        build_dihedral(4),
+        build_symmetric(3),
+    ]
+    for group in small_groups:
+        for n in range(1, 7):
             vectors = enumerate_hurwitz(group, n)
             assert len(vectors) == group.order ** (n - 1)
             assert all(_product(group, v) == group.identity for v in vectors)
@@ -93,6 +101,8 @@ def test_braid_relations_as_permutations():
             v = braid_generator(s3, v, i)
         return v
 
+    for i in (1, 2, 3):
+        assert sorted(braid_generator(s3, v, i) for v in vectors) == vectors
     for v in vectors:
         # Adjacent: sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2, both shifts.
         assert apply((1, 2, 1), v) == apply((2, 1, 2), v)

@@ -17,7 +17,7 @@ from covermotive.motives import (
     monomial,
     to_poincare,
 )
-from oracles import eval_at
+from oracles import brute_force_m0n_count, eval_at
 
 
 def test_of_trims_trailing_zeros():
@@ -94,6 +94,13 @@ def test_class_m0n_small_values():
     assert class_m0n(6) == class_m0n(5) * MotivePoly.of([-4, 1])
     with pytest.raises(ValueError):
         class_m0n(2)
+
+
+def test_class_m0n_matches_prime_field_point_counts():
+    # The class evaluated at q = p counts n distinct points on the line over F_p.
+    for n in (3, 4, 5, 6):
+        for p in (5, 7, 11, 13):
+            assert eval_at(class_m0n(n), p) == brute_force_m0n_count(n, p), (n, p)
 
 
 def test_hodge_euler_specialisation():

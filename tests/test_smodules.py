@@ -367,7 +367,7 @@ def test_type_units():
 
 
 def test_type_shift_root():
-    for group in (Z2, Z3, V4):
+    for group in (build_cyclic(1), Z2, Z3, V4):
         assert sm.shift_root(sm.unit_i2(group), group) == sm.unit_i1(group)
     # Type (1, 1, 0) over C3: dropping a 0 roots the rest at 0, dropping a 1 at 2.
     x = sm.SModClass([sm.Atom((1, 1, 0), (), Q)])

@@ -86,7 +86,7 @@ def test_enumeration_matches_oracle():
 
 
 def test_enumeration_structural_bounds():
-    for n in (4, 5, 6):
+    for n in (3, 4, 5, 6):
         for nt in enumerate_stable_trees(n):
             tree = nt.tree
             v = tree.vertex_count
