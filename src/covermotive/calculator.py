@@ -37,10 +37,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NegativeCoefficient, UnsupportedNonabelian
+from .errors import UnsupportedNonabelian
 from .groups import FiniteGroup, class_involution, conjugacy_classes
 from .hurwitz import nielsen_count
-from .motives import ZERO, MotivePoly, class_m0n, format_poly, monomial, to_poincare
+from .motives import ZERO, MotivePoly, class_m0n
 from .smodules import (
     Atom,
     SModClass,
@@ -52,13 +52,7 @@ from .smodules import (
     unit_i1,
     unit_i2,
 )
-from .trees import (
-    STABLE_TREE_CAP,
-    NTree,
-    enumerate_stable_trees,
-    profile_counts,
-    stratum_class_of_topology,
-)
+from .trees import NTree, enumerate_stable_trees, profile_counts, stratum_class_of_topology
 
 
 @dataclass
@@ -90,9 +84,14 @@ class VerificationReport:
 
 
 class Calculator:
-    """Shared tables for one abelian group: sweeps, tails, recursion terms."""
+    """Shared tables for one abelian group: sweeps, tails, recursion terms.
 
-    def __init__(self, group: FiniteGroup, tree_cap: int = STABLE_TREE_CAP):
+    The degree is bounded by profile_counts' fixed stable tree cap; the
+    command line reads these methods directly and refuses a degree above its
+    own, possibly lowered, cap before it builds a Calculator.
+    """
+
+    def __init__(self, group: FiniteGroup):
         if not group.is_abelian():
             raise UnsupportedNonabelian(
                 f"group {group.name} is nonabelian; the cover moduli here "
@@ -101,7 +100,6 @@ class Calculator:
         self.group = group
         self.conj = conjugacy_classes(group)
         self.iota = class_involution(group)
-        self.tree_cap = tree_cap
         self._sweeps: dict[int, StrataSweep] = {}
         self._terms: dict[int, tuple[MotivePoly, MotivePoly, MotivePoly]] = {}
 
@@ -110,7 +108,7 @@ class Calculator:
     def topologies(self, n: int) -> list[NTree]:
         """The stable n-trees, built one by one.  No route calls this; it stays
         only as a binding that perfbench/trace_child.py wraps, as GerbyTree does."""
-        return enumerate_stable_trees(n, self.tree_cap)
+        return enumerate_stable_trees(n)
 
     def sweep(self, n: int) -> StrataSweep:
         """Sum stratum classes over every admissible marking of every topology.
@@ -132,7 +130,7 @@ class Calculator:
                 acc = group.mul(acc, conj.representatives[c])
             markings.append(prefix + (conj.class_of[group.inv(acc)],))
 
-        profiles = profile_counts(n, self.tree_cap)
+        profiles = profile_counts(n)
         strata = v_w = e_w = ZERO
         for valences, count in profiles.items():
             contrib = stratum_class_of_topology(valences).scale(count)
@@ -276,58 +274,4 @@ class Calculator:
         sides equal 2E + 1.  Its line stays in the `verify --all-props`
         output as a consistency report, not as an independent check.
         """
-        return all(
-            1 + (sum(p) - n) == len(p) + (len(p) - 1) for p in profile_counts(n, self.tree_cap)
-        )
-
-
-@dataclass
-class ClassReport:
-    """Everything the report command serializes for one (group, n)."""
-
-    group_name: str
-    n: int
-    cls: MotivePoly
-    hodge_euler: str
-    poincare: tuple[int, ...] | None
-    per_marking: dict[tuple[int, ...], MotivePoly] | None
-    census: dict[str, int]
-    verification: VerificationReport | None
-
-
-def build_report(
-    calc: Calculator,
-    n: int,
-    marking: tuple[int, ...] | None = None,
-    with_per_marking: bool = False,
-    with_verification: bool = False,
-) -> ClassReport:
-    if marking is not None:
-        cls = calc.class_bbar_marked(marking)
-    else:
-        cls = calc.class_bbar(n)
-    try:
-        poincare = to_poincare(cls)
-    except NegativeCoefficient:
-        poincare = None
-    sweep = calc.sweep(n)
-    # A tree with E edges (E + 1 vertices) carries classes^(n + E) markings.
-    gerby_total = sum(
-        count * calc.conj.count ** (n + len(profile) - 1)
-        for profile, count in profile_counts(n, calc.tree_cap).items()
-    )
-    census = {
-        "topologies": sweep.topology_count,
-        "gerby_trees": gerby_total,
-        "admissible_strata": sweep.admissible_count,
-    }
-    return ClassReport(
-        group_name=calc.group.name,
-        n=n,
-        cls=cls,
-        hodge_euler=format_poly(cls.coeffs, monomial("u", "v")),
-        poincare=poincare,
-        per_marking=dict(sorted(sweep.per_marking.items())) if with_per_marking else None,
-        census=census,
-        verification=calc.verify_main_theorem(n) if with_verification else None,
-    )
+        return all(1 + (sum(p) - n) == len(p) + (len(p) - 1) for p in profile_counts(n))

@@ -14,9 +14,14 @@ is byte-deterministic for a fixed input.  The environment variable
 COVERMOTIVE_CAP overrides the enumeration caps; it may lower the stable tree
 cap but never raise it.
 
+class, verify and trees --group read one Calculator, which _calculator builds
+once every cap has passed; the census lines of class and trees come from one
+count of the stable trees by edge number, _census.  No command builds a tree.
+
 Exit codes: 0 success (and verified equality for verify), 1 verification
 failure, 2 malformed input, 3 size or enumeration cap exceeded, 4 abelian-only
-functionality asked of a nonabelian group.
+functionality asked of a nonabelian group, 5 output could not be written
+(stdout was closed early, as by `| head`).
 """
 
 from __future__ import annotations
@@ -28,24 +33,18 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .calculator import Calculator, build_report
+from .calculator import Calculator
 from .errors import (
-    DegreeOverflow,
     MalformedSpec,
+    NegativeCoefficient,
     NotAGroup,
     SizeLimit,
     UnsupportedNonabelian,
 )
 from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
 from .hurwitz import DEFAULT_TUPLE_CAP, braid_orbits, enumerate_hurwitz
-from .motives import format_poly, monomial
-from .trees import (
-    DEFAULT_MARKING_CAP,
-    STABLE_TREE_CAP,
-    enumerate_stable_trees,
-    export_dot,
-    profile_counts,
-)
+from .motives import format_poly, monomial, to_poincare
+from .trees import DEFAULT_MARKING_CAP, STABLE_TREE_CAP, profile_counts
 
 SCHEMA_VERSION = 1
 
@@ -102,31 +101,6 @@ def _poly_payload(p) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def _class_report_payload(report) -> dict:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "group": report.group_name,
-        "n": report.n,
-        "coefficients": _poly_payload(report.cls),
-        "hodge_euler": report.hodge_euler,
-        "poincare": None if report.poincare is None else [str(c) for c in report.poincare],
-    }
-    if report.per_marking is not None:
-        payload["per_marking"] = {
-            ",".join(str(c) for c in cvec): _poly_payload(cls)
-            for cvec, cls in report.per_marking.items()
-        }
-    if report.verification is not None:
-        v = report.verification
-        payload["verification"] = {
-            "equal": v.equal,
-            "lhs": _poly_payload(v.lhs),
-            "rhs": _poly_payload(v.rhs),
-            "terms": {name: _poly_payload(t) for name, t in v.terms},
-        }
-    return payload
-
-
 def cmd_group(args) -> int:
     group = _load_group(args)
     conj = conjugacy_classes(group)
@@ -153,49 +127,52 @@ def cmd_group(args) -> int:
     return 0
 
 
-def cmd_trees(args) -> int:
-    # A row depends on its tree only through the edge count E: E + 1 vertices,
-    # classes^(n + E) markings, and the sweep's product-one leaf tuples as the
-    # admissible ones.  Rows go by E, as enumerate_stable_trees orders them.
-    _require_n(args, 3)
-    n, tree_cap = args.n, min(STABLE_TREE_CAP, _cap_override(STABLE_TREE_CAP))
+def _census(n: int, calc: Calculator | None = None):
+    """The stable n-trees counted by edge count E, off the valence profiles.
+
+    A tree with E edges has E + 1 vertices and classes^(n + E) markings, and
+    whatever its shape it admits exactly the sweep's product-one leaf tuples.
+    Returns the rows (topologies with E edges, [E + 1, E] and with a
+    calculator [markings, admissible markings] of one such tree) in
+    increasing E, as enumerate_stable_trees orders the trees, and the totals:
+    topologies, then with a calculator marked and admissible marked trees.
+    """
     per_edges = Counter()
-    for profile, count in profile_counts(n, tree_cap).items():
+    for profile, count in profile_counts(n).items():
         per_edges[len(profile) - 1] += count
-    columns = {e: [e + 1, e] for e in per_edges}
-    group = None
-    if args.group or getattr(args, "group_file", None):
-        group = _load_group(args)
-        ncls = conjugacy_classes(group).count
-        cap = _cap_override(DEFAULT_MARKING_CAP)
-        most = ncls ** (2 * n - 3)  # on a tree with the most edges, n - 3
-        if most > cap:
-            raise SizeLimit(f"{most} markings exceed cap {cap}")
-        admissible = len(Calculator(group, tree_cap=tree_cap).sweep(n).per_marking)
-        for e, row in columns.items():
-            row += [ncls ** (n + e), admissible]
-    if args.dot:
-        out = Path(args.dot)
-        out.mkdir(parents=True, exist_ok=True)
-        for idx, nt in enumerate(enumerate_stable_trees(n, tree_cap)):
-            (out / f"tree_{idx:04d}.dot").write_text(export_dot(nt))
+    rows = [(per_edges[e], [e + 1, e]) for e in sorted(per_edges)]
+    totals = [sum(per_edges.values())]
+    if calc is not None:
+        admissible = len(calc.sweep(n).per_marking)
+        for _, row in rows:
+            row += [calc.conj.count ** (n + row[1]), admissible]
+        totals += [sum(count * row[2] for count, row in rows), totals[0] * admissible]
+    return rows, totals
+
+
+def cmd_trees(args) -> int:
+    calc = None
+    if args.group or args.group_file:
+        calc = _calculator(args)
+    else:
+        _require_n(args, 3)
+        _check_tree_cap(args.n)
+    rows, totals = _census(args.n, calc)
     if args.csv:
         header = ["topology", "vertices", "edges"]
-        if group is not None:
+        if calc is not None:
             header += ["gerby", "admissible"]
         print(",".join(header))
         idx = 0
-        for e in sorted(per_edges):
-            tail = ",".join(map(str, columns[e]))
-            sys.stdout.write("".join(f"{i},{tail}\n" for i in range(idx, idx + per_edges[e])))
-            idx += per_edges[e]
+        for count, row in rows:
+            tail = ",".join(map(str, row))
+            sys.stdout.write("".join(f"{i},{tail}\n" for i in range(idx, idx + count)))
+            idx += count
     else:
-        total = sum(per_edges.values())
-        print(f"stable trees with {n} leaves: {total} topologies")
-        if group is not None:
-            gerby = sum(count * columns[e][2] for e, count in per_edges.items())
-            print(f"marked trees over {group.name}: {gerby}")
-            print(f"admissible marked trees: {total * admissible}")
+        print(f"stable trees with {args.n} leaves: {totals[0]} topologies")
+        if calc is not None:
+            print(f"marked trees over {calc.group.name}: {totals[1]}")
+            print(f"admissible marked trees: {totals[2]}")
     return 0
 
 
@@ -212,13 +189,24 @@ def _parse_marking(text: str, n: int, ncls: int) -> tuple[int, ...]:
     return marking
 
 
+def _check_tree_cap(n: int) -> None:
+    """Refuse n above the stable tree cap, which COVERMOTIVE_CAP may lower."""
+    cap = min(STABLE_TREE_CAP, _cap_override(STABLE_TREE_CAP))
+    if n > cap:
+        raise SizeLimit(
+            f"n = {n} exceeds stable tree cap {cap} (outputs are checked against "
+            f"Keel's closed form through n = {STABLE_TREE_CAP})"
+        )
+
+
 def _calculator(args) -> Calculator:
     """Load the group; refuse n < 3 and degrees beyond the marking or tree cap.
 
-    The sweep lists the product-one class tuples of each degree up to n, the
-    recursion works on their types, and the strata and verify --all-props's
-    flag count line are read off the valence profiles of the stable n-trees,
-    so the checks bound every enumeration before it starts.
+    The gate of class, verify and trees --group.  The sweep lists the
+    product-one class tuples of each degree up to n, the recursion works on
+    their types, and the strata, the census and verify --all-props's flag
+    count line are read off the valence profiles of the stable n-trees, so
+    the checks bound every enumeration before it starts.
     """
     _require_n(args, 3)
     group = _load_group(args)
@@ -228,37 +216,58 @@ def _calculator(args) -> Calculator:
     # decides the same way without building a huge integer.
     if ncls ** min(args.n, cap.bit_length()) > cap:
         raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {cap}")
-    tree_cap = min(STABLE_TREE_CAP, _cap_override(STABLE_TREE_CAP))
-    if args.n > tree_cap:
-        raise SizeLimit(f"n = {args.n} exceeds stable tree cap {tree_cap}")
-    return Calculator(group, tree_cap=tree_cap)
+    _check_tree_cap(args.n)
+    return Calculator(group)
 
 
 def cmd_class(args) -> int:
     calc = _calculator(args)
-    marking = _parse_marking(args.marking, args.n, calc.conj.count) if args.marking else None
-    report = build_report(
-        calc,
-        args.n,
-        marking=marking,
-        with_per_marking=args.per_marking,
-        with_verification=args.with_verification,
-    )
-    if args.format == "json":
-        sys.stdout.write(_json_dumps(_class_report_payload(report)))
+    n = args.n
+    if args.marking:
+        cls = calc.class_bbar_marked(_parse_marking(args.marking, n, calc.conj.count))
     else:
-        label = f"{report.group_name}, n = {report.n}"
-        if marking is not None:
+        cls = calc.class_bbar(n)
+    try:
+        poincare = to_poincare(cls)
+    except NegativeCoefficient:
+        poincare = None
+    hodge_euler = format_poly(cls.coeffs, monomial("u", "v"))
+    verification = calc.verify_main_theorem(n) if args.with_verification else None
+    if args.format == "json":
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "group": calc.group.name,
+            "n": n,
+            "coefficients": _poly_payload(cls),
+            "hodge_euler": hodge_euler,
+            "poincare": None if poincare is None else [str(c) for c in poincare],
+        }
+        if args.per_marking:
+            payload["per_marking"] = {
+                ",".join(map(str, cvec)): _poly_payload(p)
+                for cvec, p in calc.sweep(n).per_marking.items()
+            }
+        if verification is not None:
+            payload["verification"] = {
+                "equal": verification.equal,
+                "lhs": _poly_payload(verification.lhs),
+                "rhs": _poly_payload(verification.rhs),
+                "terms": {name: _poly_payload(t) for name, t in verification.terms},
+            }
+        sys.stdout.write(_json_dumps(payload))
+    else:
+        label = f"{calc.group.name}, n = {n}"
+        if args.marking:
             label += f", marking ({args.marking})"
-        print(f"class for {label}: {report.cls}")
-        print(f"hodge-euler: {report.hodge_euler}")
-        if report.poincare is not None:
-            print(f"poincare: {format_poly(report.poincare, monomial('t'))}")
-        print(f"census: {report.census['topologies']} topologies, "
-              f"{report.census['gerby_trees']} marked trees, "
-              f"{report.census['admissible_strata']} admissible strata")
-        if report.verification is not None:
-            print(f"verification: {'equal' if report.verification.equal else 'MISMATCH'}")
+        print(f"class for {label}: {cls}")
+        print(f"hodge-euler: {hodge_euler}")
+        if poincare is not None:
+            print(f"poincare: {format_poly(poincare, monomial('t'))}")
+        topologies, marked, admissible = _census(n, calc)[1]
+        print(f"census: {topologies} topologies, {marked} marked trees, "
+              f"{admissible} admissible strata")
+        if verification is not None:
+            print(f"verification: {'equal' if verification.equal else 'MISMATCH'}")
     return 0
 
 
@@ -327,11 +336,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--format", choices=("text", "json"), default="text")
     p_group.set_defaults(func=cmd_group)
 
-    p_trees = sub.add_parser("trees", help="enumerate stable trees")
+    p_trees = sub.add_parser("trees", help="census of stable trees")
     p_trees.add_argument("--n", type=int, required=True)
     add_group_args(p_trees)
     p_trees.add_argument("--csv", action="store_true", help="emit per-topology census rows")
-    p_trees.add_argument("--dot", help="directory for DOT files, one per topology")
     p_trees.set_defaults(func=cmd_trees)
 
     p_class = sub.add_parser("class", help="compute the compactified class")
@@ -363,16 +371,24 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (MalformedSpec, NotAGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SizeLimit, DegreeOverflow) as exc:
+    except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except UnsupportedNonabelian as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does.  As the Python docs'
+        # note on SIGPIPE advises, point stdout at devnull so that the final
+        # flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 5
 
 
 if __name__ == "__main__":

@@ -24,12 +24,8 @@ class NotAGroup(CoverMotiveError):
     """
 
 
-class DegreeOverflow(CoverMotiveError):
-    """A tuple enumeration would exceed the configured cap."""
-
-
 class SizeLimit(CoverMotiveError):
-    """A tree or marking enumeration exceeds the configured size cap."""
+    """A tree, marking or tuple enumeration would exceed its configured cap."""
 
 
 class UnsupportedNonabelian(CoverMotiveError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import DegreeOverflow
+from .errors import SizeLimit
 from .groups import FiniteGroup, conjugacy_classes
 
 DEFAULT_TUPLE_CAP = 10**8
@@ -45,7 +45,7 @@ def enumerate_hurwitz(
     # The power is clamped as in the CLI: order ** cap.bit_length() > cap
     # whenever order > 1, so the decision is the same without a huge integer.
     if group.order ** min(n - 1, cap.bit_length()) > cap:
-        raise DegreeOverflow(f"{group.order}^{n - 1} exceeds cap {cap}")
+        raise SizeLimit(f"{group.order}^{n - 1} exceeds cap {cap}")
     table, inverse = group.table, group.inverse
     out = []
     for prefix in itertools.product(range(group.order), repeat=n - 1):
@@ -132,7 +132,7 @@ def nielsen_count(group: FiniteGroup, classes: Sequence[int], cap: int = DEFAULT
     for c in classes[:-1]:
         work *= conj.sizes[c]
         if work > cap:
-            raise DegreeOverflow(f"class-tuple enumeration exceeds cap {cap}")
+            raise SizeLimit(f"class-tuple enumeration exceeds cap {cap}")
     pools = [
         [g for g in range(group.order) if conj.class_of[g] == c]
         for c in classes[:-1]

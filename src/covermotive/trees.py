@@ -12,8 +12,11 @@ Up to isomorphism they correspond to laminar families over {2, ..., n}: root
 the tree at the vertex holding leaf 1, and record for every edge the set of
 leaf labels behind it.  Members have size between 2 and n - 2 and are
 pairwise nested or disjoint, and every such family arises.  That bijection
-drives the enumerator, which only `trees --dot` uses; tests/oracles.py holds
-an independent brute-force count.
+drives the enumerator; tests/oracles.py holds an independent brute-force
+count.  No command builds a tree.  The enumerator, the tree types,
+gerby_markings and is_admissible serve the brute-force references in tests/
+and the bindings that perfbench/trace_child.py wraps; they move into tests/
+once that tracer no longer wraps them.
 
 Every number printed about the strata depends only on how many trees have
 each valence profile, and profile_counts finds those without building a
@@ -294,19 +297,3 @@ def stratum_class_of_topology(n_valences: tuple[int, ...]) -> MotivePoly:
     for val in n_valences:
         acc = acc * class_m0n(val)
     return acc
-
-
-def export_dot(nt: NTree) -> str:
-    """Deterministic DOT rendering of a labeled tree."""
-    tree = nt.tree
-    lines = ["graph stable_tree {", "  node [fontsize=10];"]
-    for v in range(tree.vertex_count):
-        lines.append(f'  v{v} [shape=circle, label="v{v}"];')
-    for f in sorted(tree.leaves(), key=lambda f: nt.labels[f]):
-        label = nt.labels[f]
-        lines.append(f'  leaf{label} [shape=plaintext, label="{label}"];')
-        lines.append(f"  v{tree.vertex_of[f]} -- leaf{label};")
-    for a, b in tree.edges():
-        lines.append(f"  v{tree.vertex_of[a]} -- v{tree.vertex_of[b]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

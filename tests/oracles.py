@@ -3,16 +3,18 @@
 Nothing here shares code with the production enumerators: point counts run
 over an explicit prime field, and tree counts are produced by generating raw
 labeled-tree structures and discarding isomorphic duplicates by exhaustive
-bijection search.  Slow on purpose; capped on purpose.  The helpers at the
-end read single strata and polynomials the way the brute-force sweep in
-test_calculator.py needs them.
+bijection search.  Slow on purpose; capped on purpose.  The valence-profile
+counts also have a closed form, by Lagrange inversion, that reaches the
+degrees brute force cannot.  The helpers at the end read single strata and
+polynomials the way the brute-force sweep in test_calculator.py needs them.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+from collections import Counter
 from dataclasses import dataclass
+from math import comb, factorial
 
 from covermotive.errors import CoverMotiveError
 from covermotive.groups import FiniteGroup
@@ -126,6 +128,58 @@ def _isomorphic(t1, t2) -> bool:
         if mapped == edges2:
             return True
     return False
+
+
+def _partitions(total: int, largest: int):
+    """The partitions of total into parts of at most largest, largest first."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+def closed_form_profile_counts(n: int) -> Counter[tuple[int, ...]]:
+    """How many stable n-trees have each sorted valence profile, in closed form:
+
+        (n + V - 2)! / prod_v (m_v! ((v - 1)!)^m_v)
+
+    for the profile with m_v vertices of valence v, V = sum_v m_v vertices in
+    all.  A tree with V vertices has V - 1 edges, so its valences sum to
+    n + 2(V - 1): the profiles are the partitions of n - 2 into the parts
+    v - 2.  The totals over the profiles are OEIS A000311.
+
+    Derivation, by Lagrange inversion (Bergeron-Labelle-Leroux 1998).  Seen
+    from leaf 1, a tree is a planted tree on the other n - 1 leaves: a single
+    leaf, or a vertex of valence k + 1 carrying a set of k >= 2 planted
+    trees.  With w_k marking each such vertex, the exponential generating
+    function y(x) of planted trees solves y = x + sum_k w_k y^k / k!, so y is
+    the compositional inverse of t - sum_k w_k t^k / k!, and for m >= 1
+
+        [x^m] y = (1/m) [t^(m-1)] (1 - sum_k w_k t^(k-1) / k!)^(-m).
+
+    The V-th term of the binomial series, C(m + V - 1, V) u^V, expands by
+    the multinomial theorem into V! / prod_k m_k! times prod_k (w_k / k!)^m_k,
+    at the power t^(sum_k m_k (k - 1)), which must be t^(m - 1).  Taking
+    m = n - 1 and multiplying by m! for the labels gives
+    (n - 2)! C(n + V - 2, V) V! / prod_k (m_k! (k!)^m_k), which is the
+    count above with v = k + 1.  It builds no tree and shares nothing with
+    the forgetful-map recursion of trees.profile_counts.
+    """
+    if n < 3:
+        raise ValueError(f"need at least 3 leaves, got {n}")
+    counts = Counter()
+    for parts in _partitions(n - 2, n - 2):
+        profile = tuple(sorted(p + 2 for p in parts))
+        denominator = 1
+        for v, m_v in Counter(profile).items():
+            denominator *= factorial(m_v) * factorial(v - 1) ** m_v
+        count, rest = divmod(factorial(n + len(profile) - 2), denominator)
+        if rest:
+            raise ValueError(f"closed form not integral at profile {profile}")
+        counts[profile] = count
+    return counts
 
 
 def stratum_class(group: FiniteGroup, gt: GerbyTree) -> MotivePoly:

@@ -1,4 +1,4 @@
-"""Stratification route against recursion route, and the report layer."""
+"""Stratification route against recursion route."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import covermotive.calculator as calculator
-from covermotive.calculator import Calculator, build_report
+from covermotive.calculator import Calculator
 from covermotive.errors import InexactDivision, UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
@@ -294,30 +294,3 @@ def test_sweep_matches_brute_force(group, degrees):
         assert per_topology == [group.order ** (n - 1)] * len(per_topology)
         assert sweep.topology_count == len(per_topology)
         assert sweep.admissible_count == sum(per_topology)
-
-
-def test_build_report_census_and_polynomials():
-    calc = _calc(build_cyclic(2))
-    report = build_report(calc, 4)
-    assert report.cls == TRIVIAL([8, 8])
-    assert report.census == {
-        "topologies": 4,
-        "gerby_trees": 112,
-        "admissible_strata": 32,
-    }
-    assert report.poincare == (8, 0, 8)
-    assert report.hodge_euler == "8*u*v + 8"
-    assert report.per_marking is None
-    assert report.verification is None
-
-
-def test_build_report_marked_with_verification():
-    calc = _calc(build_cyclic(2))
-    report = build_report(
-        calc, 4, marking=(1, 1, 1, 1), with_per_marking=True, with_verification=True
-    )
-    assert report.cls == TRIVIAL([1, 1])
-    assert report.poincare == (1, 0, 1)
-    assert report.per_marking is not None
-    assert report.per_marking[(1, 1, 1, 1)] == TRIVIAL([1, 1])
-    assert report.verification is not None and report.verification.equal

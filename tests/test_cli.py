@@ -135,13 +135,14 @@ def test_trees_text_and_csv(capsys):
     )
 
 
-def test_trees_dot_export(capsys, tmp_path):
-    out_dir = tmp_path / "dots"
-    code, _, _ = _run(capsys, "trees", "--n", "4", "--dot", str(out_dir))
-    assert code == 0
-    files = sorted(p.name for p in out_dir.iterdir())
-    assert files == [f"tree_{i:04d}.dot" for i in range(4)]
-    assert (out_dir / "tree_0000.dot").read_text().startswith("graph stable_tree {")
+def test_trees_has_no_dot_option(capsys):
+    # No command builds a tree, so there is none to draw; argparse refuses.
+    with pytest.raises(SystemExit) as exc:
+        main(["trees", "--n", "4", "--dot", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dot" in captured.err
 
 
 def test_verify_output_and_exit(capsys):
@@ -191,8 +192,8 @@ def test_verify_all_props_reports_a_broken_flag_count(capsys, monkeypatch):
 
     real = calculator.profile_counts
 
-    def forged(n, cap):
-        counts = real(n, cap)
+    def forged(n):
+        counts = real(n)
         counts[(4, 4)] = 0
         return counts
 
@@ -276,11 +277,15 @@ def test_exit_code_not_a_group(capsys, tmp_path):
 
 
 def test_exit_code_size_limit(capsys):
-    # Counting trees costs nothing, so the tree cap must still refuse.
+    # Counting trees costs nothing, so the tree cap must still refuse; it
+    # bounds how far the outputs are checked.
     for n in ("10", "12"):
         code, out, err = _run(capsys, "trees", "--n", n)
         assert code == 3
-        assert "cap" in err
+        assert err == (
+            f"error: n = {n} exceeds stable tree cap 9 "
+            "(outputs are checked against Keel's closed form through n = 9)\n"
+        )
         assert out == ""
     # One class tuple per degree, so only the tree cap can refuse n = 10; it
     # must do so before the tail sweeps and the recursion start.
@@ -320,18 +325,18 @@ def test_exit_code_nonabelian(capsys):
 
 def test_exit_code_marking_cap(capsys):
     # 7^8 class tuples exceed the default cap; refused before any enumeration.
-    for command in ("class", "verify"):
+    for command in ("class", "verify", "trees"):
+        start = time.perf_counter()
         code, out, err = _run(capsys, command, "--group", "cyclic:7", "--n", "8")
+        assert time.perf_counter() - start < 1
         assert code == 3
         assert "cap" in err
         assert out == ""
-    # 3^15 markings of a tree with 6 edges exceed the cap.
-    start = time.perf_counter()
-    code, out, err = _run(capsys, "trees", "--group", "cyclic:3", "--n", "9")
-    assert time.perf_counter() - start < 1
-    assert code == 3
-    assert "cap" in err
-    assert out == ""
+    # trees counts markings without listing them, so only the class tuples
+    # the sweep lists are capped: 3^9 of them fit.
+    code, out, _ = _run(capsys, "trees", "--group", "cyclic:3", "--n", "9")
+    assert code == 0
+    assert out.startswith("stable trees with 9 leaves: 660032 topologies\n")
 
 
 def test_marking_cap_env_override(capsys, monkeypatch):
@@ -354,23 +359,22 @@ def test_cap_env_override(capsys, monkeypatch):
     assert _run(capsys, "trees", "--n", "5")[0] == 0
 
 
-def test_cap_env_override_cannot_lift_tree_cap(capsys, monkeypatch, tmp_path):
+def test_cap_env_override_cannot_lift_tree_cap(capsys, monkeypatch):
     # For C1 the one class tuple per degree passes any marking cap, so only the
-    # tree cap stands between these commands and A000311(12) ~ 6.9e9 trees.
-    # The enumeration entry points raise here, so a copy that lets the
-    # override lift the tree cap fails at once instead of running away.
+    # tree cap stands between these commands and degree 12.  The entry points
+    # past the gate raise here, so a copy that lets the override lift the
+    # tree cap fails at once instead of running on.
     import covermotive.cli as cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("enumeration started above the stable tree cap")
+        raise AssertionError("work started above the stable tree cap")
 
     monkeypatch.setattr(cli, "Calculator", refuse)
-    monkeypatch.setattr(cli, "enumerate_stable_trees", refuse)
+    monkeypatch.setattr(cli, "profile_counts", refuse)
     monkeypatch.setenv("COVERMOTIVE_CAP", "1000")
-    dot = tmp_path / "dot"
     for argv in (
         ("verify", "--group", "cyclic:1", "--n", "12", "--all-props"),
-        ("trees", "--n", "12", "--dot", str(dot)),
+        ("trees", "--n", "12"),
     ):
         start = time.perf_counter()
         code, out, err = _run(capsys, *argv)
@@ -378,7 +382,6 @@ def test_cap_env_override_cannot_lift_tree_cap(capsys, monkeypatch, tmp_path):
         assert code == 3
         assert "stable tree cap 9" in err
         assert out == ""
-    assert not dot.exists()
 
 
 @pytest.mark.parametrize(
@@ -406,6 +409,32 @@ def _child_env() -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k != "COVERMOTIVE_CAP"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
     return env
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["trees --n 9 --csv", "hurwitz --group dihedral:5 --n 6 --orbits"],
+    ids=["trees", "hurwitz"],
+)
+def test_closed_stdout_exits_5_without_traceback(command):
+    # The reader takes one line and closes the pipe, as `| head -1` does.
+    # Unbuffered, the first line reaches it while the child is still writing
+    # (7 MB of rows) or still computing (the braid orbits).
+    env = _child_env()
+    env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covermotive.cli", *command.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 5
+    assert first.startswith((b"topology,", b"product-one tuples"))
+    assert err == b""
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from covermotive.calculator import Calculator, build_report
+from covermotive.calculator import Calculator
 from covermotive.groups import build_cyclic, build_product_cyclic
 from covermotive.motives import MotivePoly
 from oracles import keel_class
@@ -51,7 +51,6 @@ def test_both_routes_equal_keel_closed_form(group, top):
 def test_printed_classes_are_palindromic(group, top):
     calc = Calculator(group)
     for n in range(3, top + 1):
-        report = build_report(calc, n, with_per_marking=True)
-        assert _palindromic(report.cls), f"total, n = {n}"
-        for marking, cls in report.per_marking.items():
+        assert _palindromic(calc.class_bbar(n)), f"total, n = {n}"
+        for marking, cls in calc.sweep(n).per_marking.items():
             assert _palindromic(cls), f"marking {marking}"

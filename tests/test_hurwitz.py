@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from covermotive.errors import DegreeOverflow
+from covermotive.errors import SizeLimit
 from covermotive.groups import (
     build_cyclic,
     build_dihedral,
@@ -59,14 +59,14 @@ def test_enumeration_guards():
     s3 = build_symmetric(3)
     with pytest.raises(ValueError):
         enumerate_hurwitz(s3, 0)
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(SizeLimit):
         enumerate_hurwitz(s3, 6, cap=100)
 
 
 def test_enumeration_guard_refuses_large_degree_at_once():
     # The cap check must not build order^(n-1) as an integer first.
     start = time.perf_counter()
-    with pytest.raises(DegreeOverflow, match=r"^3\^29999999 exceeds cap 10$"):
+    with pytest.raises(SizeLimit, match=r"^3\^29999999 exceeds cap 10$"):
         enumerate_hurwitz(build_cyclic(3), 3 * 10**7, cap=10)
     assert time.perf_counter() - start < 1.0
 
@@ -341,5 +341,5 @@ def test_nielsen_count_guards():
     s3 = build_symmetric(3)
     with pytest.raises(ValueError):
         nielsen_count(s3, ())
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(SizeLimit):
         nielsen_count(s3, (1,) * 12, cap=100)

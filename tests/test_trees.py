@@ -19,13 +19,12 @@ from covermotive.trees import (
     NTree,
     Tree,
     enumerate_stable_trees,
-    export_dot,
     gerby_markings,
     is_admissible,
     profile_counts,
     stratum_class_of_topology,
 )
-from oracles import brute_force_tree_count, stratum_class
+from oracles import brute_force_tree_count, closed_form_profile_counts, stratum_class
 
 STAR4 = NTree(Tree((0, 1, 2, 3), (0, 0, 0, 0)), (1, 2, 3, 4))
 
@@ -137,12 +136,19 @@ def test_enumeration_guards():
 
 
 def test_profile_counts_match_enumeration():
-    for n in range(3, 9):
+    # Through n = 7; test_profile_counts_match_closed_form covers n = 8..12.
+    for n in range(3, 8):
         enumerated = Counter(
             tuple(sorted(nt.tree.valence(v) for v in range(nt.tree.vertex_count)))
             for nt in enumerate_stable_trees(n)
         )
         assert profile_counts(n) == enumerated, n
+
+
+def test_profile_counts_match_closed_form():
+    assert closed_form_profile_counts(4) == {(4,): 1, (3, 3): 3}
+    for n in range(3, 13):
+        assert profile_counts(n, cap=12) == closed_form_profile_counts(n), n
 
 
 def test_profile_counts_sum_to_a000311():
@@ -217,11 +223,3 @@ def test_stratum_class_matches_topology_shortcut():
                 assert cls == stratum_class_of_topology(vals)
             else:
                 assert cls == ZERO
-
-
-def test_export_dot():
-    text = export_dot(STAR4)
-    assert text.startswith("graph stable_tree {")
-    assert text.count("leaf") == 2 * 4
-    assert "v0 -- leaf1;" in text
-    assert "v0 -- v1;" in export_dot(_caterpillar4())
