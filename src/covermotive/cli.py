@@ -221,6 +221,8 @@ def _calculator(args) -> Calculator:
 
 
 def cmd_class(args) -> int:
+    if args.per_marking and args.format == "text":
+        raise MalformedSpec("--per-marking needs --format json")
     calc = _calculator(args)
     n = args.n
     if args.marking:
@@ -346,7 +348,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_group_args(p_class)
     p_class.add_argument("--n", type=int, required=True)
     p_class.add_argument("--marking", help="comma-separated class ids, one per point")
-    p_class.add_argument("--per-marking", action="store_true")
+    p_class.add_argument("--per-marking", action="store_true", help="JSON only")
     p_class.add_argument("--with-verification", action="store_true")
     p_class.add_argument("--format", choices=("json", "text"), default="json")
     p_class.set_defaults(func=cmd_class)

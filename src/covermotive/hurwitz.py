@@ -56,16 +56,6 @@ def enumerate_hurwitz(
     return out
 
 
-def braid_generator(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Apply sigma_i (1-based, 1 <= i <= n-1) to the vector."""
-    n = len(v)
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"braid index {i} out of range 1..{n - 1}")
-    a, b = v[i - 1], v[i]
-    conj_b = group.mul(group.mul(a, b), group.inv(a))
-    return v[: i - 1] + (conj_b, a) + v[i + 1 :]
-
-
 def braid_orbits(
     group: FiniteGroup,
     vectors: Iterable[tuple[int, ...]],

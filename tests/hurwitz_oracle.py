@@ -12,7 +12,6 @@ import itertools
 from typing import Iterable
 
 from covermotive.groups import FiniteGroup
-from covermotive.hurwitz import braid_generator
 
 
 def conjugate_vector(group: FiniteGroup, h: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -23,6 +22,12 @@ def conjugate_vector(group: FiniteGroup, h: int, v: tuple[int, ...]) -> tuple[in
 def canonical_under_conjugation(group: FiniteGroup, v: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically minimal simultaneous conjugate of v."""
     return min(conjugate_vector(group, h, v) for h in range(group.order))
+
+
+def braid_generator(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """sigma_i (1-based, 1 <= i <= n - 1): (a, b) -> (a b a^{-1}, a)."""
+    a, b = v[i - 1], v[i]
+    return v[: i - 1] + (group.mul(group.mul(a, b), group.inv(a)), a) + v[i + 1 :]
 
 
 def braid_inverse(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -1,26 +1,15 @@
 """Tuple-level oracle for the composition calculus of covermotive.smodules.
 
 This is the engine the recursion route used before it moved onto class
-types: every generator is one evaluation tuple, compose enumerates the set
-partitions of the outer labels, and day_convolve every two-block shuffle.
-It is slow, and it shares no arithmetic with the type engine, so the tests
-compare the two on the recursion terms.
+types.  It is slow, and it shares no arithmetic with the type engine, so the
+tests compare the two on random modules and on the recursion terms.
 
-Graded modules of labeled generators and their composition calculus.
-
-The recursion for compactified cover classes is phrased in terms of graded
-collections ("modules") of generators over the set B of conjugacy classes.
-A generator of degree n carries an evaluation tuple in B^n (one class per
-marked point), an optional root attachment datum in B, an exact class
-polynomial, and an integer weight.  Everything here is a finite shadow of a
-geometric object, so all operations reduce to bookkeeping over tuples plus
-exact polynomial arithmetic.
-
-Operations:
+A generator of degree n carries an evaluation tuple in B^n, B the set of
+conjugacy classes (one class per marked point), an optional root attachment
+datum in B, an exact class polynomial, and an integer weight.
 
 * unit_i1 / unit_i2: the one- and two-slot units.  The degree-2 unit pairs a
-  class with its inverse class, and its nontrivial symmetry swaps the two
-  evaluations while applying the inversion involution.
+  class with its inverse class.
 * shift_root: drop the last evaluation of each generator and re-expose it,
   through the inversion involution, as the root attachment.
 * day_convolve: graded product; a degree-k generator of the product routes
@@ -31,15 +20,12 @@ Operations:
   partitions into blocks, read increasingly within each block), and the
   result is the quotient by the symmetric group permuting the slots.
 
-The slot permutations act freely on shuffles, because the blocks of a
-shuffle are disjoint, nonempty, and therefore pairwise distinct.  So the
-quotient takes one shuffle per orbit: a set partition of the outer labels,
-blocks ordered by least label.  compose still checks every partition it
-enumerates and rejects a repeated block with NonFreeAction, returning the
-slot swap that fixes it as a witness.  One representative per orbit stands
-for the whole orbit only if the outer generators are closed under permuting
-their evaluations; compose checks that closure on each adjacent swap and
-raises InexactDivision where it fails.
+The blocks of a shuffle are disjoint and nonempty, so the slot permutations
+act freely on shuffles, and the quotient takes one shuffle per orbit: a set
+partition of the outer labels, blocks ordered by least label.  That
+representative stands for its whole orbit only if the outer generators are
+closed under permuting their evaluations; compose checks that closure on
+each adjacent swap and raises InexactDivision where it fails.
 """
 
 from __future__ import annotations
@@ -48,35 +34,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from covermotive.errors import (
-    CoverMotiveError,
-    InexactDivision,
-    MissingEvaluations,
-    NonEmptyDegreeZero,
-)
+from covermotive.errors import InexactDivision, MissingEvaluations, NonEmptyDegreeZero
 from covermotive.groups import FiniteGroup, class_involution, conjugacy_classes
 from covermotive.motives import ONE, MotivePoly
-
-
-class NonFreeAction(CoverMotiveError):
-    """A symmetric-group action that must be free has a fixed point.
-
-    Carries the witness permutation in ``witness``.
-    """
-
-    def __init__(self, message: str, witness: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class EngineStats:
-    """Counts the runtime freeness checks, to show that they actually ran."""
-
-    def __init__(self):
-        self.freeness_checks = 0
-
-
-stats = EngineStats()
 
 
 @dataclass(frozen=True)
@@ -207,21 +167,6 @@ def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return parts
 
 
-def _check_rigid(blocks: tuple[tuple[int, ...], ...]) -> None:
-    """Freeness of the slot permutations on shuffle data: blocks are distinct."""
-    stats.freeness_checks += 1
-    seen: dict[tuple[int, ...], int] = {}
-    for i, b in enumerate(blocks):
-        if b in seen:
-            witness = list(range(len(blocks)))
-            witness[seen[b]], witness[i] = i, seen[b]
-            raise NonFreeAction(
-                f"blocks {seen[b]} and {i} coincide; swapping them fixes the shuffle datum",
-                tuple(witness),
-            )
-        seen[b] = i
-
-
 def _check_symmetric(atoms: Sequence[Atom]) -> None:
     """The atoms are closed under permuting evaluations (adjacent swaps generate)."""
     weights = {(a.evals, a.attach, a.cls): a.weight for a in atoms}
@@ -262,7 +207,6 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
     shapes: dict[int, dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]] = {}
     for n in set(degrees):
         for blocks in set_partitions(n):
-            _check_rigid(blocks)
             sizes = tuple(len(b) for b in blocks)
             shapes.setdefault(len(blocks), {}).setdefault(sizes, []).append(blocks)
 

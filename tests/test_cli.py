@@ -257,6 +257,13 @@ def test_exit_code_malformed_spec(capsys, tmp_path):
         assert code == 2
         assert "error:" in err
         assert out == ""
+    # The per-marking classes exist only in JSON; text refuses the flag.
+    code, out, err = _run(
+        capsys, "class", "--group", "cyclic:2", "--n", "4", "--per-marking", "--format", "text"
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
     code, _, _ = _run(capsys, "group")
     assert code == 2
     # An integer past the interpreter's 4300-digit limit for parsing.

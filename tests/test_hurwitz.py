@@ -1,4 +1,10 @@
-"""Product-one tuples, braid moves, orbits, per-class counts."""
+"""Product-one tuples, braid orbits and per-class counts of covermotive.hurwitz.
+
+braid_orbits is compared with the two-sided reference closure and with the
+classical orbit counts of hurwitz_oracle.py; the braid relations and the
+abelian transposition anchor that oracle's braid move, and the conjugation
+helpers are anchored to the conjugated product.
+"""
 
 from __future__ import annotations
 
@@ -16,13 +22,9 @@ from covermotive.groups import (
     build_symmetric,
     conjugacy_classes,
 )
-from covermotive.hurwitz import (
-    braid_generator,
-    braid_orbits,
-    enumerate_hurwitz,
-    nielsen_count,
-)
+from covermotive.hurwitz import braid_orbits, enumerate_hurwitz, nielsen_count
 from hurwitz_oracle import (
+    braid_generator,
     canonical_under_conjugation,
     conjugate_vector,
     generated_subgroup,
@@ -81,15 +83,6 @@ def test_braid_generator_preserves_invariants():
             assert sorted(conj.class_of[g] for g in w) == sorted(
                 conj.class_of[g] for g in v
             )
-
-
-def test_braid_generator_index_range():
-    s3 = build_symmetric(3)
-    v = (0, 0, 0)
-    with pytest.raises(IndexError):
-        braid_generator(s3, v, 0)
-    with pytest.raises(IndexError):
-        braid_generator(s3, v, 3)
 
 
 def test_braid_relations_as_permutations():

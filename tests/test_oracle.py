@@ -1,24 +1,14 @@
-"""The brute-force oracles themselves get sanity checks: they pin everything else."""
+"""Anchors of the brute-force oracles: values worked by hand.
+
+The oracles in oracles.py are compared with the program in the tests of the
+modules they check.  Here each is tied to counts known independently of it:
+the prime-field point counts, Cayley's v^(v-2) labeled trees under the
+stable-tree oracle, and that oracle's first counts of stable trees.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from oracles import (
-    CapExceeded,
-    PrimeField,
-    _labeled_trees,
-    brute_force_m0n_count,
-    brute_force_tree_count,
-)
-
-
-def test_prime_field_validation():
-    PrimeField(2)
-    PrimeField(13)
-    for bad in (0, 1, 4, 9, 15):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+from oracles import _labeled_trees, brute_force_m0n_count, brute_force_tree_count
 
 
 def test_m0n_count_small():
@@ -32,19 +22,10 @@ def test_m0n_count_small():
     assert brute_force_m0n_count(6, 5) == 6
 
 
-def test_m0n_count_guards():
-    with pytest.raises(ValueError):
-        brute_force_m0n_count(2, 5)
-    with pytest.raises(CapExceeded):
-        brute_force_m0n_count(9, 13, cap=10**3)
-
-
 def test_labeled_trees_cayley_counts():
     # v^(v-2) labeled trees on v vertices.
-    assert len(_labeled_trees(1)) == 1
-    assert len(_labeled_trees(2)) == 1
-    assert len(_labeled_trees(3)) == 3
-    assert len(_labeled_trees(4)) == 16
+    for v, count in ((1, 1), (2, 1), (3, 3), (4, 16)):
+        assert len(_labeled_trees(v)) == count
     # Each result really is a tree: v - 1 edges, all endpoints in range.
     for v in range(2, 5):
         for edges in _labeled_trees(v):
@@ -58,13 +39,5 @@ def test_labeled_trees_distinct():
 
 
 def test_tree_count_small():
-    assert brute_force_tree_count(3) == 1
-    assert brute_force_tree_count(4) == 4
-    assert brute_force_tree_count(5) == 26
-
-
-def test_tree_count_guards():
-    with pytest.raises(ValueError):
-        brute_force_tree_count(2)
-    with pytest.raises(CapExceeded):
-        brute_force_tree_count(7)
+    # 1, 4, 26 stable trees for n = 3, 4, 5.
+    assert [brute_force_tree_count(n) for n in (3, 4, 5)] == [1, 4, 26]
