@@ -8,11 +8,13 @@ Subcommands:
 * verify   - check stratification against recursion, exit 0 only on agreement
 * hurwitz  - enumerate product-one tuples and braid orbits
 
-Groups are given either as --builtin strings (cyclic:3, product_cyclic:2,2,
-dihedral:4, symmetric:3) or as a JSON spec file via --group-file.  All output
-is byte-deterministic for a fixed input.  The environment variable
-COVERMOTIVE_CAP overrides the enumeration caps; it may lower the stable tree
-cap but never raise it.
+Groups are given either as --group strings (cyclic:3, product_cyclic:2,2,
+dihedral:4, symmetric:3) or as a JSON spec file via --group-file, never both;
+every command but trees needs one.  A spec takes JSON integers only (no
+bools, floats, strings or null), and its optional "schema" field must be 1.
+hurwitz --mod-conj needs --orbits.  All output is byte-deterministic for a
+fixed input.  The environment variable COVERMOTIVE_CAP overrides the
+enumeration caps; it may lower the stable tree cap but never raise it.
 
 class, verify and trees --group read one Calculator, which _calculator builds
 once every cap has passed; the census lines of class and trees come from one
@@ -48,6 +50,8 @@ from .trees import DEFAULT_MARKING_CAP, STABLE_TREE_CAP, profile_counts
 
 SCHEMA_VERSION = 1
 
+EXIT_CODES = {MalformedSpec: 2, NotAGroup: 2, SizeLimit: 3, UnsupportedNonabelian: 4}
+
 
 def _cap_override(default: int) -> int:
     raw = os.environ.get("COVERMOTIVE_CAP")
@@ -78,19 +82,19 @@ def _parse_builtin(text: str) -> dict:
 
 
 def _load_group(args) -> FiniteGroup:
-    if getattr(args, "group_file", None):
-        try:
-            spec = json.loads(Path(args.group_file).read_text())
-        except OSError as exc:
-            raise MalformedSpec(f"cannot read group file: {exc}")
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-            raise MalformedSpec(f"group file is not valid JSON: {exc}")
-        if isinstance(spec, dict):
-            spec.pop("schema", None)
-        return build_group(spec)
-    if getattr(args, "group", None):
+    if args.group is not None:
         return build_group(_parse_builtin(args.group))
-    raise MalformedSpec("no group given: use --group or --group-file")
+    try:
+        spec = json.loads(Path(args.group_file).read_text())
+    except OSError as exc:
+        raise MalformedSpec(f"cannot read group file: {exc}")
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
+        raise MalformedSpec(f"group file is not valid JSON: {exc}")
+    if isinstance(spec, dict):
+        schema = spec.pop("schema", SCHEMA_VERSION)
+        if type(schema) is not int or schema != SCHEMA_VERSION:  # JSON true loads as True == 1
+            raise MalformedSpec(f"group file schema must be {SCHEMA_VERSION}, got {schema!r}")
+    return build_group(spec)
 
 
 def _json_dumps(payload) -> str:
@@ -152,7 +156,7 @@ def _census(n: int, calc: Calculator | None = None):
 
 def cmd_trees(args) -> int:
     calc = None
-    if args.group or args.group_file:
+    if args.group is not None or args.group_file is not None:
         calc = _calculator(args)
     else:
         _require_n(args, 3)
@@ -225,7 +229,7 @@ def cmd_class(args) -> int:
         raise MalformedSpec("--per-marking needs --format json")
     calc = _calculator(args)
     n = args.n
-    if args.marking:
+    if args.marking is not None:
         cls = calc.class_bbar_marked(_parse_marking(args.marking, n, calc.conj.count))
     else:
         cls = calc.class_bbar(n)
@@ -259,7 +263,7 @@ def cmd_class(args) -> int:
         sys.stdout.write(_json_dumps(payload))
     else:
         label = f"{calc.group.name}, n = {n}"
-        if args.marking:
+        if args.marking is not None:
             label += f", marking ({args.marking})"
         print(f"class for {label}: {cls}")
         print(f"hodge-euler: {hodge_euler}")
@@ -295,6 +299,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    if args.mod_conj and not args.orbits:
+        raise MalformedSpec("--mod-conj needs --orbits")
     _require_n(args, 1)
     group = _load_group(args)
     cap = _cap_override(DEFAULT_TUPLE_CAP)
@@ -329,9 +335,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_args(p):
-        p.add_argument("--group", help="builtin family, e.g. cyclic:2 or symmetric:3")
-        p.add_argument("--group-file", help="path to a JSON group spec")
+    def add_group_args(p, required=True):
+        given = p.add_mutually_exclusive_group(required=required)
+        given.add_argument("--group", help="builtin family, e.g. cyclic:2 or symmetric:3")
+        given.add_argument("--group-file", help="path to a JSON group spec")
 
     p_group = sub.add_parser("group", help="build a group and print class data")
     add_group_args(p_group)
@@ -340,7 +347,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_trees = sub.add_parser("trees", help="census of stable trees")
     p_trees.add_argument("--n", type=int, required=True)
-    add_group_args(p_trees)
+    add_group_args(p_trees, required=False)
     p_trees.add_argument("--csv", action="store_true", help="emit per-topology census rows")
     p_trees.set_defaults(func=cmd_trees)
 
@@ -370,21 +377,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (MalformedSpec, NotAGroup) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnsupportedNonabelian as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_CODES[type(exc)]
     except BrokenPipeError:
         # The reader closed stdout, as `| head` does.  As the Python docs'
         # note on SIGPIPE advises, point stdout at devnull so that the final

@@ -114,8 +114,8 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
         if len(row) != n:
             raise MalformedSpec("multiplication table is not square")
         for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise MalformedSpec(f"table entry {x!r} out of range 0..{n - 1}")
+            if not 0 <= x < n:
+                raise MalformedSpec(f"table entry {x} out of range 0..{n - 1}")
 
     # Identity: a two-sided unit.
     identity = -1
@@ -248,18 +248,24 @@ def build_from_permutations(gens: list[list[int]]) -> FiniteGroup:
     return _permutation_group(seen, f"perm<{len(seen)}>")
 
 
-def build_from_cayley(table: list[list[int]]) -> FiniteGroup:
-    if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
-        raise MalformedSpec("cayley spec must be a list of rows")
-    return _validate_table([list(r) for r in table], f"cayley<{len(table)}>")
+# The builtin families that take one parameter; product_cyclic takes a list.
+_ONE_PARAMETER = {"cyclic": build_cyclic, "dihedral": build_dihedral, "symmetric": build_symmetric}
+
+
+def _integers(value, what: str) -> list[int]:
+    """value if it is a list of ints and not bools (JSON true loads as an int subclass)."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise MalformedSpec(f"{what} must be a list of integers, got {value!r}")
+    return value
 
 
 def build_group(spec: dict) -> FiniteGroup:
-    """Build a group from a specification mapping.
+    """Build a group from a specification mapping, as loaded from JSON.
 
     Exactly one of the keys "builtin", "cayley", "permutations" must be
     present.  "builtin" maps to {"kind": ..., "params": [...]} with kind one
-    of cyclic, product_cyclic, dihedral, symmetric.
+    of cyclic, product_cyclic, dihedral, symmetric.  Every params list,
+    Cayley row and permutation must hold integers only.
     """
     if not isinstance(spec, dict):
         raise MalformedSpec("group spec must be a mapping")
@@ -267,36 +273,26 @@ def build_group(spec: dict) -> FiniteGroup:
     if len(keys) != 1:
         raise MalformedSpec(f"spec must contain exactly one of builtin/cayley/permutations, got {keys}")
     kind = keys[0]
-    if kind == "cayley":
-        return build_from_cayley(spec["cayley"])
-    if kind == "permutations":
-        perms = spec["permutations"]
-        if not isinstance(perms, list) or not all(isinstance(p, list) for p in perms):
-            raise MalformedSpec("permutations spec must be a list of image lists")
-        return build_from_permutations(perms)
+    if kind != "builtin":
+        if not isinstance(spec[kind], list):
+            raise MalformedSpec(f"{kind} spec must be a list of integer lists")
+        rows = [_integers(row, f"each entry of {kind}") for row in spec[kind]]
+        if kind == "cayley":
+            return _validate_table(rows, f"cayley<{len(rows)}>")
+        return build_from_permutations(rows)
 
     builtin = spec["builtin"]
-    if not isinstance(builtin, dict) or "kind" not in builtin:
-        raise MalformedSpec("builtin spec must be a mapping with a kind")
-    params = builtin.get("params", [])
-    if not isinstance(params, list) or not all(isinstance(p, int) for p in params):
-        raise MalformedSpec(f"builtin params must be a list of integers, got {params!r}")
+    if not isinstance(builtin, dict) or not isinstance(builtin.get("kind"), str):
+        raise MalformedSpec("builtin spec must be a mapping with a string kind")
     family = builtin["kind"]
-    if family == "cyclic":
-        if len(params) != 1:
-            raise MalformedSpec("cyclic takes exactly one parameter")
-        return build_cyclic(params[0])
+    params = _integers(builtin.get("params", []), "builtin params")
     if family == "product_cyclic":
         return build_product_cyclic(params)
-    if family == "dihedral":
-        if len(params) != 1:
-            raise MalformedSpec("dihedral takes exactly one parameter")
-        return build_dihedral(params[0])
-    if family == "symmetric":
-        if len(params) != 1:
-            raise MalformedSpec("symmetric takes exactly one parameter")
-        return build_symmetric(params[0])
-    raise MalformedSpec(f"unknown builtin family {family!r}")
+    if family not in _ONE_PARAMETER:
+        raise MalformedSpec(f"unknown builtin family {family!r}")
+    if len(params) != 1:
+        raise MalformedSpec(f"{family} takes exactly one parameter")
+    return _ONE_PARAMETER[family](params[0])
 
 
 @lru_cache(maxsize=None)

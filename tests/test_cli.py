@@ -13,11 +13,15 @@ from pathlib import Path
 import pytest
 
 import covermotive
+import covermotive.cli as cli
 from covermotive.cli import main
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -135,16 +139,6 @@ def test_trees_text_and_csv(capsys):
     )
 
 
-def test_trees_has_no_dot_option(capsys):
-    # No command builds a tree, so there is none to draw; argparse refuses.
-    with pytest.raises(SystemExit) as exc:
-        main(["trees", "--n", "4", "--dot", "x"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--dot" in captured.err
-
-
 def test_verify_output_and_exit(capsys):
     code, out, _ = _run(capsys, "verify", "--group", "cyclic:1", "--n", "4")
     assert code == 0
@@ -243,170 +237,122 @@ def test_hurwitz_mod_conj(capsys):
     )
 
 
-def test_exit_code_malformed_spec(capsys, tmp_path):
-    code, _, err = _run(capsys, "group", "--group", "frobnicate:5")
-    assert code == 2
-    assert "error:" in err
-    code, _, _ = _run(capsys, "class", "--group", "cyclic:2", "--n", "4", "--marking", "1,1")
-    assert code == 2
-    # Class ids outside 0..classes-1 are refused before any work.
-    for marking in ("0,0,0,7", "0,0,0,-1"):
-        code, out, err = _run(
-            capsys, "class", "--group", "cyclic:2", "--n", "4", "--marking", marking
-        )
-        assert code == 2
-        assert "error:" in err
-        assert out == ""
-    # The per-marking classes exist only in JSON; text refuses the flag.
-    code, out, err = _run(
-        capsys, "class", "--group", "cyclic:2", "--n", "4", "--per-marking", "--format", "text"
-    )
-    assert code == 2
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert out == ""
-    code, _, _ = _run(capsys, "group")
-    assert code == 2
-    # An integer past the interpreter's 4300-digit limit for parsing.
-    spec = tmp_path / "huge.json"
-    spec.write_text('{"builtin": {"kind": "cyclic", "params": [1' + "0" * 5000 + "]}}")
-    code, out, err = _run(capsys, "group", "--group-file", str(spec))
-    assert code == 2
-    assert "not valid JSON" in err
-    assert out == ""
+# Every refusal of the command line: id: (argv, exit code, a fragment of the
+# last stderr line[, the text of the group file that FILE in argv names]).
+# A leading COVERMOTIVE_CAP=k sets that variable for the run.
+GROUP_FILE = "group --group-file FILE"
+REFUSALS = {
+    "no-group": ("group", 2, "one of the arguments --group --group-file is required"),
+    "group-and-group-file": ("group --group symmetric:3 --group-file FILE", 2, "not allowed with"),
+    "unknown-family": ("group --group frobnicate:5", 2, "unknown builtin family 'frobnicate'"),
+    "bool-param": (GROUP_FILE, 2, "params must be a list of integers, got [True]",
+                   '{"builtin": {"kind": "cyclic", "params": [true]}}'),
+    "permutation-string": (GROUP_FILE, 2, "got [0, '1']", '{"permutations": [[0, "1"]]}'),
+    "permutation-float": (GROUP_FILE, 2, "got [0, 1.0]", '{"permutations": [[0, 1.0]]}'),
+    "permutation-null": (GROUP_FILE, 2, "got [None, None]", '{"permutations": [[null, null]]}'),
+    "bool-table": (GROUP_FILE, 2, "[True, False]", '{"cayley": [[true, false], [false, true]]}'),
+    "no-identity": (GROUP_FILE, 2, "no two-sided identity element", '{"cayley": [[1, 0], [1, 0]]}'),
+    "schema-2": (GROUP_FILE, 2, "schema must be 1, got 2", '{"schema": 2, "cayley": [[0]]}'),
+    "schema-true": (GROUP_FILE, 2, "schema must be 1, got True",
+                    '{"schema": true, "cayley": [[0]]}'),
+    # Past the interpreter's 4300-digit limit for parsing an integer, and
+    # deeper than its recursion limit.
+    "huge-integer": (GROUP_FILE, 2, "not valid JSON", '{"cayley": [[1' + "0" * 5000 + "]]}"),
+    "deep-nesting": (GROUP_FILE, 2, "not valid JSON", "[" * 100000 + "]" * 100000),
+    # A degree below the subcommand's minimum.
+    "class-2": ("class --group cyclic:2 --n 2", 2, "--n must be at least 3, got 2"),
+    "class-neg": ("class --group cyclic:2 --n -5", 2, "--n must be at least 3, got -5"),
+    "verify-1": ("verify --group cyclic:2 --n 1", 2, "--n must be at least 3, got 1"),
+    "trees-2": ("trees --n 2", 2, "--n must be at least 3, got 2"),
+    "hurwitz-0": ("hurwitz --group cyclic:2 --n 0", 2, "--n must be at least 1, got 0"),
+    # A marking that names no tuple of classes, and flags that need another.
+    "marking-length": ("class --group cyclic:2 --n 4 --marking 1,1", 2, "length 2 does not match"),
+    "marking-class-7": ("class --group cyclic:2 --n 4 --marking 0,0,0,7", 2, "ids run 0..1"),
+    "marking-class-neg": ("class --group cyclic:2 --n 4 --marking 0,0,0,-1", 2, "names class -1"),
+    "empty-marking": ("class --group cyclic:2 --n 4 --marking=", 2, "class ids, got ''"),
+    "per-marking-text": (
+        "class --group cyclic:2 --n 4 --per-marking --format text", 2, "needs --format json"
+    ),
+    "mod-conj-alone": ("hurwitz --group symmetric:3 --n 3 --mod-conj", 2, "needs --orbits"),
+    "trees-dot": ("trees --n 4 --dot x", 2, "unrecognized arguments: --dot x"),  # no tree to draw
+    "verify-nonabelian": ("verify --group symmetric:3 --n 4", 4, "nonabelian"),
+    "trees-nonabelian": ("trees --group symmetric:3 --n 4", 4, "nonabelian"),
+    # Counting trees costs nothing, but the tree cap bounds how far the
+    # outputs are checked; for C1 it is the only cap that can refuse.
+    "trees-10": (
+        "trees --n 10", 3, "n = 10 exceeds stable tree cap 9 (outputs are checked against Keel's "
+        "closed form through n = 9)",
+    ),
+    "trees-12": ("trees --n 12", 3, "n = 12 exceeds stable tree cap 9"),
+    "class-tree-cap": ("class --group cyclic:1 --n 10", 3, "n = 10 exceeds stable tree cap 9"),
+    "verify-tree-cap": ("verify --group cyclic:1 --n 10", 3, "n = 10 exceeds stable tree cap 9"),
+    "class-marking-cap": ("class --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
+    "verify-marking-cap": ("verify --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
+    "trees-marking-cap": ("trees --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
+    # C1 has one tuple per degree, so only the tuples' length can refuse it;
+    # C2's 8 tuples of length 4 fit a cap of 100, their 6 braid moves each do not.
+    "hurwitz-length-cap": ("hurwitz --group cyclic:1 --n 32000 --orbits", 3, "exceed tuple cap"),
+    "hurwitz-orbits-cap": (
+        "COVERMOTIVE_CAP=100 hurwitz --group cyclic:2 --n 4 --orbits", 3, "= 6 for orbits, exceed"
+    ),
+    "marking-cap-env": ("COVERMOTIVE_CAP=16 class --group cyclic:2 --n 5", 3, "marking cap 16"),
+    "tree-cap-env": ("COVERMOTIVE_CAP=4 trees --n 5", 3, "n = 5 exceeds stable tree cap 4"),
+    "cap-env-not-a-number": ("COVERMOTIVE_CAP=x trees --n 4", 2, "must be an integer"),
+    # The override may lower the tree cap but never lift it.
+    "cap-env-cannot-lift-trees": ("COVERMOTIVE_CAP=1000 trees --n 12", 3, "stable tree cap 9"),
+    "cap-env-cannot-lift-verify": (
+        "COVERMOTIVE_CAP=1000 verify --group cyclic:1 --n 12 --all-props", 3, "stable tree cap 9"
+    ),
+}
 
 
-def test_exit_code_not_a_group(capsys, tmp_path):
-    spec = tmp_path / "bad.json"
-    spec.write_text(json.dumps({"cayley": [[1, 0], [1, 0]]}))
-    code, _, err = _run(capsys, "group", "--group-file", str(spec))
-    assert code == 2
-    assert "identity" in err
+def _argv(line: str, monkeypatch) -> list[str]:
+    """Split a command line, setting a leading COVERMOTIVE_CAP=k."""
+    argv = line.split()
+    if argv[0].startswith("COVERMOTIVE_CAP="):
+        monkeypatch.setenv("COVERMOTIVE_CAP", argv.pop(0).partition("=")[2])
+    return argv
 
 
-def test_exit_code_size_limit(capsys):
-    # Counting trees costs nothing, so the tree cap must still refuse; it
-    # bounds how far the outputs are checked.
-    for n in ("10", "12"):
-        code, out, err = _run(capsys, "trees", "--n", n)
-        assert code == 3
-        assert err == (
-            f"error: n = {n} exceeds stable tree cap 9 "
-            "(outputs are checked against Keel's closed form through n = 9)\n"
-        )
-        assert out == ""
-    # One class tuple per degree, so only the tree cap can refuse n = 10; it
-    # must do so before the tail sweeps and the recursion start.
-    for command in ("class", "verify"):
-        code, out, err = _run(capsys, command, "--group", "cyclic:1", "--n", "10")
-        assert code == 3
-        assert "cap" in err
-        assert out == ""
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started past a cap")
 
 
-def test_hurwitz_degree_cap(capsys, monkeypatch):
-    # The trivial group has one tuple per degree, so only the length of the
-    # tuples and the 2(n-1) factor for orbits can refuse a large n.
+@pytest.mark.parametrize("row", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal(row, capsys, monkeypatch, tmp_path):
+    # In-process, so an exception that escapes main fails the row with its
+    # traceback, and every enumeration behind a cap can be made to raise.
+    line, code, reason, *text = row
+    argv = _argv(line, monkeypatch)
+    if text:
+        (tmp_path / "spec.json").write_text(text[0])
+        argv = [str(tmp_path / "spec.json") if a == "FILE" else a for a in argv]
+    if code == 3:  # a cap refuses before any work starts
+        for name in ("Calculator", "profile_counts", "enumerate_hurwitz"):
+            monkeypatch.setattr(cli, name, _no_work)
     start = time.perf_counter()
-    code, out, err = _run(capsys, "hurwitz", "--group", "cyclic:1", "--n", "32000", "--orbits")
+    got, out, err = _run(capsys, *argv)
     assert time.perf_counter() - start < 1
-    assert code == 3
-    assert "cap" in err
-    assert out == ""
-    assert _run(capsys, "hurwitz", "--group", "cyclic:1", "--n", "50", "--orbits")[0] == 0
-    # C2 at n = 4: 8 tuples of length 4 fit a cap of 100; their 6 moves each do not.
-    monkeypatch.setenv("COVERMOTIVE_CAP", "100")
-    assert _run(capsys, "hurwitz", "--group", "cyclic:2", "--n", "4")[0] == 0
-    code, out, err = _run(capsys, "hurwitz", "--group", "cyclic:2", "--n", "4", "--orbits")
-    assert code == 3
-    assert "cap" in err
-    assert out == ""
+    assert (got, out) == (code, "")
+    lines = err.splitlines()
+    assert "error:" in lines[-1] and reason in lines[-1]
+    assert len(lines) == 1 or lines[0].startswith("usage:")  # argparse prints its usage first
+    assert "Traceback" not in err
 
 
-def test_exit_code_nonabelian(capsys):
-    for command in ("verify", "trees"):
-        code, out, err = _run(capsys, command, "--group", "symmetric:3", "--n", "4")
-        assert code == 4
-        assert "nonabelian" in err
-        assert out == ""
-
-
-def test_exit_code_marking_cap(capsys):
-    # 7^8 class tuples exceed the default cap; refused before any enumeration.
-    for command in ("class", "verify", "trees"):
-        start = time.perf_counter()
-        code, out, err = _run(capsys, command, "--group", "cyclic:7", "--n", "8")
-        assert time.perf_counter() - start < 1
-        assert code == 3
-        assert "cap" in err
-        assert out == ""
-    # trees counts markings without listing them, so only the class tuples
-    # the sweep lists are capped: 3^9 of them fit.
-    code, out, _ = _run(capsys, "trees", "--group", "cyclic:3", "--n", "9")
-    assert code == 0
-    assert out.startswith("stable trees with 9 leaves: 660032 topologies\n")
-
-
-def test_marking_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("COVERMOTIVE_CAP", "16")
-    assert _run(capsys, "class", "--group", "cyclic:2", "--n", "4")[0] == 0
-    code, _, err = _run(capsys, "class", "--group", "cyclic:2", "--n", "5")
-    assert code == 3
-    assert "cap" in err
-
-
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("COVERMOTIVE_CAP", "4")
-    code, _, _ = _run(capsys, "trees", "--n", "5")
-    assert code == 3
-    monkeypatch.setenv("COVERMOTIVE_CAP", "not-a-number")
-    code, _, err = _run(capsys, "trees", "--n", "4")
-    assert code == 2
-    assert "COVERMOTIVE_CAP" in err
-    monkeypatch.delenv("COVERMOTIVE_CAP")
-    assert _run(capsys, "trees", "--n", "5")[0] == 0
-
-
-def test_cap_env_override_cannot_lift_tree_cap(capsys, monkeypatch):
-    # For C1 the one class tuple per degree passes any marking cap, so only the
-    # tree cap stands between these commands and degree 12.  The entry points
-    # past the gate raise here, so a copy that lets the override lift the
-    # tree cap fails at once instead of running on.
-    import covermotive.cli as cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started above the stable tree cap")
-
-    monkeypatch.setattr(cli, "Calculator", refuse)
-    monkeypatch.setattr(cli, "profile_counts", refuse)
-    monkeypatch.setenv("COVERMOTIVE_CAP", "1000")
-    for argv in (
-        ("verify", "--group", "cyclic:1", "--n", "12", "--all-props"),
-        ("trees", "--n", "12"),
-    ):
-        start = time.perf_counter()
-        code, out, err = _run(capsys, *argv)
-        assert time.perf_counter() - start < 1
-        assert code == 3
-        assert "stable tree cap 9" in err
-        assert out == ""
-
-
+# The other side of the caps: what fits runs.
 @pytest.mark.parametrize(
-    "argv",
+    "line",
     [
-        ("class", "--group", "cyclic:2", "--n", "2"),
-        ("class", "--group", "cyclic:2", "--n", "-5"),
-        ("verify", "--group", "cyclic:2", "--n", "1"),
-        ("trees", "--n", "2"),
-        ("hurwitz", "--group", "cyclic:2", "--n", "0"),
+        "trees --group cyclic:3 --n 9",  # 3^9 class tuples
+        "hurwitz --group cyclic:1 --n 50 --orbits",
+        "COVERMOTIVE_CAP=100 hurwitz --group cyclic:2 --n 4",  # no braid moves
+        "COVERMOTIVE_CAP=16 class --group cyclic:2 --n 4",  # 2^4 class tuples
     ],
-    ids=["class-2", "class-neg", "verify-1", "trees-2", "hurwitz-0"],
 )
-def test_exit_code_degree_too_small(capsys, argv):
-    code, out, err = _run(capsys, *argv)
-    assert code == 2
-    assert "error:" in err and "--n" in err
-    assert out == ""
+def test_caps_admit_what_fits(line, capsys, monkeypatch):
+    code, out, err = _run(capsys, *_argv(line, monkeypatch))
+    assert (code, err, bool(out)) == (0, "", True)
 
 
 def _child_env() -> dict[str, str]:

@@ -12,7 +12,6 @@ from covermotive.groups import (
     MAX_ORDER,
     build_cyclic,
     build_dihedral,
-    build_from_cayley,
     build_from_permutations,
     build_group,
     build_product_cyclic,
@@ -126,26 +125,26 @@ def test_build_from_permutations_rejects_bad_input():
 
 def test_cayley_validation_catches_broken_tables():
     # Valid: Z/2.
-    g = build_from_cayley([[0, 1], [1, 0]])
+    g = build_group({"cayley": [[0, 1], [1, 0]]})
     assert g.order == 2
 
     # No identity: both rows send 0 to 1.
     with pytest.raises(NotAGroup):
-        build_from_cayley([[1, 0], [1, 0]])
+        build_group({"cayley": [[1, 0], [1, 0]]})
 
     # Associativity failure: a quasigroup table with a unit but
     # (1*1)*2 = 0*2 = 2 while 1*(1*2) = 1*0 = 1.
     with pytest.raises(NotAGroup) as exc:
-        build_from_cayley([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+        build_group({"cayley": [[0, 1, 2], [1, 0, 0], [2, 0, 1]]})
     assert str(exc.value) == "associativity fails at (1, 1, 2): (1*1)*2 = 2 but 1*(1*2) = 1"
 
     # Shape and range errors are malformed specs, not group failures.
     with pytest.raises(MalformedSpec):
-        build_from_cayley([[0, 1]])
+        build_group({"cayley": [[0, 1]]})
     with pytest.raises(MalformedSpec):
-        build_from_cayley([[0, 7], [7, 0]])
+        build_group({"cayley": [[0, 7], [7, 0]]})
     with pytest.raises(MalformedSpec):
-        build_from_cayley([])
+        build_group({"cayley": []})
 
 
 def test_associativity_checks_every_generator():
@@ -162,7 +161,7 @@ def test_associativity_checks_every_generator():
         [5, 4, 1, 0, 2, 3],
     ]
     with pytest.raises(NotAGroup) as exc:
-        build_from_cayley(loop)
+        build_group({"cayley": loop})
     assert str(exc.value) == "associativity fails at (2, 2, 4): (2*2)*4 = 3 but 2*(2*4) = 2"
 
 
