@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import UnsupportedNonabelian
+from .errors import MalformedSpec, UnsupportedNonabelian
 from .groups import FiniteGroup, class_involution, conjugacy_classes
 from .hurwitz import nielsen_count
 from .motives import ZERO, MotivePoly, class_m0n
@@ -157,9 +157,10 @@ class Calculator:
         return self.sweep(n).total
 
     def class_bbar_marked(self, marking: tuple[int, ...]) -> MotivePoly:
+        last = self.conj.count - 1
         for c in marking:
-            if not 0 <= c < self.conj.count:
-                raise ValueError(f"no conjugacy class {c}")
+            if not 0 <= c <= last:
+                raise MalformedSpec(f"marking names class {c}; class ids run 0..{last}")
         return self.sweep(len(marking)).per_marking.get(tuple(marking), ZERO)
 
     # ---- recursion route ----

@@ -11,19 +11,25 @@ Subcommands:
 Groups are given either as --group strings (cyclic:3, product_cyclic:2,2,
 dihedral:4, symmetric:3) or as a JSON spec file via --group-file, never both;
 every command but trees needs one.  A spec takes JSON integers only (no
-bools, floats, strings or null), and its optional "schema" field must be 1.
-hurwitz --mod-conj needs --orbits.  All output is byte-deterministic for a
-fixed input.  The environment variable COVERMOTIVE_CAP overrides the
-enumeration caps; it may lower the stable tree cap but never raise it.
+bools, floats, strings or null), no key but the one spec kind and an optional
+"schema", which must be 1, and a builtin spec no key but kind and params.
+Integers on the command line (--n, builtin params, --marking ids and
+COVERMOTIVE_CAP) are ASCII digits with an optional leading '-'.  class
+--marking and --per-marking exclude each other, and hurwitz --mod-conj needs
+--orbits.  All output is byte-deterministic for a fixed input.  The
+environment variable COVERMOTIVE_CAP overrides the enumeration caps; it may
+lower the stable tree cap but never raise it.
 
 class, verify and trees --group read one Calculator, which _calculator builds
 once every cap has passed; the census lines of class and trees come from one
 count of the stable trees by edge number, _census.  No command builds a tree.
 
 Exit codes: 0 success (and verified equality for verify), 1 verification
-failure, 2 malformed input, 3 size or enumeration cap exceeded, 4 abelian-only
-functionality asked of a nonabelian group, 5 output could not be written
-(stdout was closed early, as by `| head`).
+failure (a mismatch, or an exact division that fails in verify or class
+--with-verification), 2 malformed input, 3 size or enumeration cap exceeded,
+4 abelian-only functionality asked of a nonabelian group, 5 output could not
+be written (stdout was closed early, as by `| head`).  Each error class of
+covermotive.errors is a key of EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -31,18 +37,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
 
 from .calculator import Calculator
-from .errors import (
-    MalformedSpec,
-    NegativeCoefficient,
-    NotAGroup,
-    SizeLimit,
-    UnsupportedNonabelian,
-)
+from .errors import InexactDivision, MalformedSpec, NotAGroup, SizeLimit, UnsupportedNonabelian
 from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
 from .hurwitz import DEFAULT_TUPLE_CAP, braid_orbits, enumerate_hurwitz
 from .motives import format_poly, monomial, to_poincare
@@ -50,7 +51,19 @@ from .trees import DEFAULT_MARKING_CAP, STABLE_TREE_CAP, profile_counts
 
 SCHEMA_VERSION = 1
 
-EXIT_CODES = {MalformedSpec: 2, NotAGroup: 2, SizeLimit: 3, UnsupportedNonabelian: 4}
+EXIT_CODES = {
+    InexactDivision: 1, MalformedSpec: 2, NotAGroup: 2, SizeLimit: 3, UnsupportedNonabelian: 4
+}
+
+
+def integer(text: str) -> int:
+    """text as an int if it is ASCII digits with an optional leading '-'.
+
+    int() alone also reads '1_0', '+1', ' 1' and non-ASCII digits.
+    """
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _cap_override(default: int) -> int:
@@ -58,7 +71,7 @@ def _cap_override(default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
+        value = integer(raw)
     except ValueError:
         raise MalformedSpec(f"COVERMOTIVE_CAP must be an integer, got {raw!r}")
     if value < 1:
@@ -75,7 +88,7 @@ def _require_n(args, least: int) -> None:
 def _parse_builtin(text: str) -> dict:
     kind, _, params = text.partition(":")
     try:
-        values = [int(p) for p in params.split(",")] if params else []
+        values = [integer(p) for p in params.split(",")] if params else []
     except ValueError:
         raise MalformedSpec(f"builtin parameters must be integers, got {params!r}")
     return {"builtin": {"kind": kind, "params": values}}
@@ -90,10 +103,6 @@ def _load_group(args) -> FiniteGroup:
         raise MalformedSpec(f"cannot read group file: {exc}")
     except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise MalformedSpec(f"group file is not valid JSON: {exc}")
-    if isinstance(spec, dict):
-        schema = spec.pop("schema", SCHEMA_VERSION)
-        if type(schema) is not int or schema != SCHEMA_VERSION:  # JSON true loads as True == 1
-            raise MalformedSpec(f"group file schema must be {SCHEMA_VERSION}, got {schema!r}")
     return build_group(spec)
 
 
@@ -180,16 +189,14 @@ def cmd_trees(args) -> int:
     return 0
 
 
-def _parse_marking(text: str, n: int, ncls: int) -> tuple[int, ...]:
+def _parse_marking(text: str, n: int) -> tuple[int, ...]:
+    """The marking's class ids; Calculator.class_bbar_marked checks their range."""
     try:
-        marking = tuple(int(p) for p in text.split(","))
+        marking = tuple(integer(p) for p in text.split(","))
     except ValueError:
         raise MalformedSpec(f"marking must be comma-separated class ids, got {text!r}")
     if len(marking) != n:
         raise MalformedSpec(f"marking length {len(marking)} does not match n = {n}")
-    for c in marking:
-        if not 0 <= c < ncls:
-            raise MalformedSpec(f"marking names class {c}; class ids run 0..{ncls - 1}")
     return marking
 
 
@@ -227,16 +234,11 @@ def _calculator(args) -> Calculator:
 def cmd_class(args) -> int:
     if args.per_marking and args.format == "text":
         raise MalformedSpec("--per-marking needs --format json")
-    calc = _calculator(args)
     n = args.n
-    if args.marking is not None:
-        cls = calc.class_bbar_marked(_parse_marking(args.marking, n, calc.conj.count))
-    else:
-        cls = calc.class_bbar(n)
-    try:
-        poincare = to_poincare(cls)
-    except NegativeCoefficient:
-        poincare = None
+    marking = None if args.marking is None else _parse_marking(args.marking, n)
+    calc = _calculator(args)
+    cls = calc.class_bbar(n) if marking is None else calc.class_bbar_marked(marking)
+    poincare = to_poincare(cls)
     hodge_euler = format_poly(cls.coeffs, monomial("u", "v"))
     verification = calc.verify_main_theorem(n) if args.with_verification else None
     if args.format == "json":
@@ -346,29 +348,30 @@ def make_parser() -> argparse.ArgumentParser:
     p_group.set_defaults(func=cmd_group)
 
     p_trees = sub.add_parser("trees", help="census of stable trees")
-    p_trees.add_argument("--n", type=int, required=True)
+    p_trees.add_argument("--n", type=integer, required=True)
     add_group_args(p_trees, required=False)
     p_trees.add_argument("--csv", action="store_true", help="emit per-topology census rows")
     p_trees.set_defaults(func=cmd_trees)
 
     p_class = sub.add_parser("class", help="compute the compactified class")
     add_group_args(p_class)
-    p_class.add_argument("--n", type=int, required=True)
-    p_class.add_argument("--marking", help="comma-separated class ids, one per point")
-    p_class.add_argument("--per-marking", action="store_true", help="JSON only")
+    p_class.add_argument("--n", type=integer, required=True)
+    one_or_all = p_class.add_mutually_exclusive_group()
+    one_or_all.add_argument("--marking", help="comma-separated class ids, one per point")
+    one_or_all.add_argument("--per-marking", action="store_true", help="JSON only")
     p_class.add_argument("--with-verification", action="store_true")
     p_class.add_argument("--format", choices=("json", "text"), default="json")
     p_class.set_defaults(func=cmd_class)
 
     p_verify = sub.add_parser("verify", help="stratification against recursion")
     add_group_args(p_verify)
-    p_verify.add_argument("--n", type=int, required=True)
+    p_verify.add_argument("--n", type=integer, required=True)
     p_verify.add_argument("--all-props", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_hurwitz = sub.add_parser("hurwitz", help="product-one tuples and braid orbits")
     add_group_args(p_hurwitz)
-    p_hurwitz.add_argument("--n", type=int, required=True)
+    p_hurwitz.add_argument("--n", type=integer, required=True)
     p_hurwitz.add_argument("--orbits", action="store_true")
     p_hurwitz.add_argument("--mod-conj", action="store_true")
     p_hurwitz.set_defaults(func=cmd_hurwitz)

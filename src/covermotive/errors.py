@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""The failures a command reports.
 
-Every guard that can reject an input raises one of these, so callers (and the
-command line driver) can map failure modes to exit codes without string
+A CoverMotiveError is a failure a command reports, and a ValueError is a
+caller's mistake: every class here is a key of cli.EXIT_CODES, so the command
+line driver maps it to an exit code and one `error:` line without string
 matching.
 """
 
@@ -13,7 +14,8 @@ class CoverMotiveError(Exception):
 
 
 class MalformedSpec(CoverMotiveError):
-    """Group specification is structurally invalid (shape, range, size cap)."""
+    """An outside input is malformed or out of range: a group spec, a degree,
+    a marking, a flag combination or COVERMOTIVE_CAP."""
 
 
 class NotAGroup(CoverMotiveError):
@@ -31,19 +33,6 @@ class SizeLimit(CoverMotiveError):
 class UnsupportedNonabelian(CoverMotiveError):
     """An operation that is only implemented for abelian groups was asked to
     work on a nonabelian one."""
-
-
-class NegativeCoefficient(CoverMotiveError):
-    """A class polynomial has a negative coefficient where a non-negative
-    one is required (Betti number extraction)."""
-
-
-class NonEmptyDegreeZero(CoverMotiveError):
-    """Composition requires the inner module to have empty degree-0 part."""
-
-
-class MissingEvaluations(CoverMotiveError):
-    """An operation needs evaluation data that a generator does not carry."""
 
 
 class InexactDivision(CoverMotiveError):

@@ -23,6 +23,7 @@ from functools import lru_cache
 from .errors import MalformedSpec, NotAGroup
 
 MAX_ORDER = 255
+SCHEMA = 1  # the one version of the group spec format
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,22 @@ def build_group(spec: dict) -> FiniteGroup:
     """Build a group from a specification mapping, as loaded from JSON.
 
     Exactly one of the keys "builtin", "cayley", "permutations" must be
-    present.  "builtin" maps to {"kind": ..., "params": [...]} with kind one
-    of cyclic, product_cyclic, dihedral, symmetric.  Every params list,
-    Cayley row and permutation must hold integers only.
+    present, and no other key but an optional "schema", which must be the
+    integer 1.  "builtin" maps to {"kind": ..., "params": [...]} with kind one
+    of cyclic, product_cyclic, dihedral, symmetric, and no other key.  Every
+    params list, Cayley row and permutation must hold integers only.
     """
     if not isinstance(spec, dict):
         raise MalformedSpec("group spec must be a mapping")
-    keys = [k for k in ("builtin", "cayley", "permutations") if k in spec]
-    if len(keys) != 1:
-        raise MalformedSpec(f"spec must contain exactly one of builtin/cayley/permutations, got {keys}")
+    schema = spec.get("schema", SCHEMA)
+    if type(schema) is not int or schema != SCHEMA:  # JSON true loads as True == 1
+        raise MalformedSpec(f"group spec schema must be {SCHEMA}, got {schema!r}")
+    keys = [k for k in spec if k != "schema"]
+    if len(keys) != 1 or keys[0] not in ("builtin", "cayley", "permutations"):
+        raise MalformedSpec(
+            f"spec must contain exactly one of builtin/cayley/permutations and no other key "
+            f"but schema, got {keys}"
+        )
     kind = keys[0]
     if kind != "builtin":
         if not isinstance(spec[kind], list):
@@ -284,6 +292,9 @@ def build_group(spec: dict) -> FiniteGroup:
     builtin = spec["builtin"]
     if not isinstance(builtin, dict) or not isinstance(builtin.get("kind"), str):
         raise MalformedSpec("builtin spec must be a mapping with a string kind")
+    stray = [k for k in builtin if k not in ("kind", "params")]
+    if stray:
+        raise MalformedSpec(f"builtin spec takes only kind and params, got {stray}")
     family = builtin["kind"]
     params = _integers(builtin.get("params", []), "builtin params")
     if family == "product_cyclic":

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import NegativeCoefficient
-
 
 @dataclass(frozen=True)
 class MotivePoly:
@@ -126,16 +124,14 @@ def class_m0n(n: int) -> MotivePoly:
     return acc
 
 
-def to_poincare(p: MotivePoly) -> tuple[int, ...]:
+def to_poincare(p: MotivePoly) -> tuple[int, ...] | None:
     """Read coefficients as even Betti numbers: b_{2k} = coeff of q^k.
 
-    Returns ascending coefficients in t, so q + 1 becomes (1, 0, 1).
-    Refuses polynomials with a negative coefficient, where the reading is
-    meaningless.
+    Returns ascending coefficients in t, so q + 1 becomes (1, 0, 1), or None
+    if a coefficient is negative, where the reading is meaningless.
     """
-    for k, c in enumerate(p.coeffs):
-        if c < 0:
-            raise NegativeCoefficient(f"coefficient {c} of q^{k} is negative")
+    if any(c < 0 for c in p.coeffs):
+        return None
     if p.is_zero:
         return ()
     out = [0] * (2 * len(p.coeffs) - 1)

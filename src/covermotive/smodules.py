@@ -33,7 +33,7 @@ from math import comb, factorial, prod
 from operator import add
 from typing import Container, Iterable, Mapping
 
-from .errors import InexactDivision, MissingEvaluations, NonEmptyDegreeZero
+from .errors import InexactDivision
 from .groups import FiniteGroup, class_involution, conjugacy_classes
 from .motives import ONE, MotivePoly
 
@@ -187,7 +187,7 @@ def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
     out = []
     for a in x.atoms():
         if a.degree == 0:
-            raise MissingEvaluations("degree-0 generator has no evaluation to re-expose")
+            raise ValueError("degree-0 generator has no evaluation to re-expose")
         if a.attach:
             raise ValueError("generator already carries a root attachment")
         drops = [b for b, k in enumerate(a.mults) if k]
@@ -243,12 +243,10 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
     more).  A degree-0 generator of x passes through.
     """
     if w.part(0):
-        raise NonEmptyDegreeZero("inner module must have empty degree-0 part")
+        raise ValueError("inner module must have empty degree-0 part")
     for attach, series in w._by_attach.items():
         if len(attach) != 1:
-            raise MissingEvaluations(
-                f"inner generators at degrees {sorted(series)} lack a root attachment"
-            )
+            raise ValueError(f"inner generators at degrees {sorted(series)} lack a root attachment")
     wanted = set(degrees)
     top = max(wanted, default=-1)
     outer = [a for a in x.atoms() if a.degree <= top]

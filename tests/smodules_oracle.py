@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from covermotive.errors import InexactDivision, MissingEvaluations, NonEmptyDegreeZero
+from covermotive.errors import InexactDivision
 from covermotive.groups import FiniteGroup, class_involution, conjugacy_classes
 from covermotive.motives import ONE, MotivePoly
 
@@ -113,7 +113,7 @@ def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
     out = []
     for a in x.atoms():
         if a.degree == 0:
-            raise MissingEvaluations("degree-0 generator has no evaluation to re-expose")
+            raise ValueError("degree-0 generator has no evaluation to re-expose")
         if a.attach:
             raise ValueError("generator already carries a root attachment")
         out.append(Atom(a.evals[:-1], (iota(a.evals[-1]),), a.cls, a.weight))
@@ -193,13 +193,11 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
     x has the empty partition only and passes through.
     """
     if w.part(0):
-        raise NonEmptyDegreeZero("inner module must have empty degree-0 part")
+        raise ValueError("inner module must have empty degree-0 part")
     w_by: dict[tuple[int, int], list[Atom]] = {}
     for a in w.atoms():
         if len(a.attach) != 1:
-            raise MissingEvaluations(
-                f"inner generator at degree {a.degree} lacks a root attachment"
-            )
+            raise ValueError(f"inner generator at degree {a.degree} lacks a root attachment")
         w_by.setdefault((a.degree, a.attach[0]), []).append(a)
 
     # Orbit representatives by slot count, then by block-size vector, so that

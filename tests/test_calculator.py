@@ -10,7 +10,7 @@ import pytest
 
 import covermotive.calculator as calculator
 from covermotive.calculator import Calculator
-from covermotive.errors import InexactDivision, UnsupportedNonabelian
+from covermotive.errors import InexactDivision, MalformedSpec, UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
 from covermotive.smodules import Atom, day_convolve
@@ -93,7 +93,7 @@ def test_z2_class_and_markings():
     assert calc.class_bbar_marked((1, 1, 1, 1)) == TRIVIAL([1, 1])
     assert calc.class_bbar_marked((0, 0, 0, 0)) == TRIVIAL([1, 1])
     assert calc.class_bbar_marked((1, 0, 0, 0)) == ZERO
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedSpec, match=r"names class 7; class ids run 0\.\.1"):
         calc.class_bbar_marked((0, 0, 0, 7))
 
 

@@ -14,6 +14,8 @@ import pytest
 
 import covermotive
 import covermotive.cli as cli
+import covermotive.errors as errors
+import covermotive.smodules as smodules
 from covermotive.cli import main
 
 
@@ -239,6 +241,7 @@ def test_hurwitz_mod_conj(capsys):
 
 # Every refusal of the command line: id: (argv, exit code, a fragment of the
 # last stderr line[, the text of the group file that FILE in argv names]).
+# argv is a command line, or a list of arguments where one holds a space.
 # A leading COVERMOTIVE_CAP=k sets that variable for the run.
 GROUP_FILE = "group --group-file FILE"
 REFUSALS = {
@@ -255,6 +258,10 @@ REFUSALS = {
     "schema-2": (GROUP_FILE, 2, "schema must be 1, got 2", '{"schema": 2, "cayley": [[0]]}'),
     "schema-true": (GROUP_FILE, 2, "schema must be 1, got True",
                     '{"schema": true, "cayley": [[0]]}'),
+    "misspelt-schema": (GROUP_FILE, 2, "no other key but schema, got ['cayley', 'shcema']",
+                        '{"cayley": [[0, 1], [1, 0]], "shcema": 2}'),
+    "builtin-extra-key": (GROUP_FILE, 2, "takes only kind and params, got ['extra']",
+                          '{"builtin": {"kind": "cyclic", "params": [3], "extra": 1}}'),
     # Past the interpreter's 4300-digit limit for parsing an integer, and
     # deeper than its recursion limit.
     "huge-integer": (GROUP_FILE, 2, "not valid JSON", '{"cayley": [[1' + "0" * 5000 + "]]}"),
@@ -270,6 +277,10 @@ REFUSALS = {
     "marking-class-7": ("class --group cyclic:2 --n 4 --marking 0,0,0,7", 2, "ids run 0..1"),
     "marking-class-neg": ("class --group cyclic:2 --n 4 --marking 0,0,0,-1", 2, "names class -1"),
     "empty-marking": ("class --group cyclic:2 --n 4 --marking=", 2, "class ids, got ''"),
+    "marking-and-per-marking": (
+        "class --group cyclic:2 --n 4 --marking 1,1,1,1 --per-marking", 2,
+        "argument --per-marking: not allowed with argument --marking",
+    ),
     "per-marking-text": (
         "class --group cyclic:2 --n 4 --per-marking --format text", 2, "needs --format json"
     ),
@@ -298,6 +309,17 @@ REFUSALS = {
     "marking-cap-env": ("COVERMOTIVE_CAP=16 class --group cyclic:2 --n 5", 3, "marking cap 16"),
     "tree-cap-env": ("COVERMOTIVE_CAP=4 trees --n 5", 3, "n = 5 exceeds stable tree cap 4"),
     "cap-env-not-a-number": ("COVERMOTIVE_CAP=x trees --n 4", 2, "must be an integer"),
+    # Integers that int() reads, spelt with an underscore, a '+', a space or
+    # a non-ASCII digit: the command line takes ASCII digits and a leading '-'.
+    "builtin-underscore": ("group --group cyclic:1_0", 2, "must be integers, got '1_0'"),
+    "cap-env-underscore": ("COVERMOTIVE_CAP=1_000 trees --n 4", 2, "integer, got '1_000'"),
+    "marking-plus": ("class --group cyclic:2 --n 4 --marking 1,1,+1,1", 2, "got '1,1,+1,1'"),
+    "marking-space": (
+        ["class", "--group", "cyclic:2", "--n", "4", "--marking", "1,1,1, 1"], 2, "got '1,1,1, 1'"
+    ),
+    "marking-non-ascii": ("class --group cyclic:2 --n 4 --marking \u0661,1,1,1", 2,
+                          "class ids, got '\u0661,1,1,1'"),
+    "n-non-ascii": ("trees --n \u0664", 2, "argument --n: invalid integer value: '\u0664'"),
     # The override may lower the tree cap but never lift it.
     "cap-env-cannot-lift-trees": ("COVERMOTIVE_CAP=1000 trees --n 12", 3, "stable tree cap 9"),
     "cap-env-cannot-lift-verify": (
@@ -306,9 +328,9 @@ REFUSALS = {
 }
 
 
-def _argv(line: str, monkeypatch) -> list[str]:
+def _argv(line: str | list[str], monkeypatch) -> list[str]:
     """Split a command line, setting a leading COVERMOTIVE_CAP=k."""
-    argv = line.split()
+    argv = line.split() if isinstance(line, str) else list(line)
     if argv[0].startswith("COVERMOTIVE_CAP="):
         monkeypatch.setenv("COVERMOTIVE_CAP", argv.pop(0).partition("=")[2])
     return argv
@@ -338,6 +360,26 @@ def test_refusal(row, capsys, monkeypatch, tmp_path):
     assert "error:" in lines[-1] and reason in lines[-1]
     assert len(lines) == 1 or lines[0].startswith("usage:")  # argparse prints its usage first
     assert "Traceback" not in err
+
+
+def test_every_error_class_has_an_exit_code():
+    defined = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    assert defined - {errors.CoverMotiveError} == set(cli.EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "line", ["verify --group cyclic:2 --n 5", "class --group cyclic:2 --n 5 --with-verification"]
+)
+def test_inexact_division_exits_1(line, capsys, monkeypatch):
+    # The fault of test_division_check_catches_a_product_without_binomials:
+    # with every binomial read as 1, halving a divided square is inexact.
+    monkeypatch.setattr(smodules, "comb", lambda n, k: 1)
+    code, out, err = _run(capsys, *line.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not divisible" in err and err.count("\n") == 1
 
 
 # The other side of the caps: what fits runs.

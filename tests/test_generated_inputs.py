@@ -6,9 +6,11 @@ files whose leaves are null, bools, integers, floats and strings, and argv
 over the five subcommands with small degrees.  Each run must exit with a
 code the README documents, exit 1 only from verify, raise nothing out of
 main (the in-process form of a traceback), and print nothing on stdout when
-it refuses.  A group file with any entry that is not an integer, or with a
-"schema" other than 1, must be refused.  The examples are derandomized, so
-every run of the suite tries the same ones.
+it refuses.  A group file with any entry that is not an integer, with a
+"schema" other than 1, or with a key the spec format does not name must be
+refused, and so must a command line that spells an integer as only int()
+reads it.  The examples are derandomized, so every run of the suite tries the
+same ones.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ def specs(draw) -> dict:
     if lists and draw(st.booleans()):
         chosen = draw(st.sampled_from(lists))
         chosen[draw(st.integers(0, len(chosen) - 1))] = draw(LEAVES)
+    if "builtin" in spec and draw(st.integers(0, 3)) == 0:
+        spec["builtin"]["extra"] = 1
     return spec
 
 
@@ -95,8 +99,22 @@ FLAGS = {
 }
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
 @st.composite
-def argvs(draw) -> list[str]:
+def argvs(draw) -> tuple[list[str], bool]:
+    """A command line, and whether it spells an integer as only int() reads it."""
+    odd = []
+
+    def spell(k: int) -> str:
+        """k, now and then with an underscore, a '+', a space or non-ASCII digits."""
+        if draw(st.integers(0, 9)):
+            return str(k)
+        spellings = [f"0_{k}", f"+{k}", f" {k}", str(k).translate(ARABIC_INDIC)]
+        odd.append(draw(st.sampled_from(spellings)))
+        return odd[-1]
+
     command = draw(st.sampled_from(sorted(FLAGS)))
     group = draw(st.sampled_from(GROUPS))
     n = draw(st.sampled_from([3, 4, 5, 3, 4, 5, None, -1, 0, 1, 2]))  # mostly a valid degree
@@ -104,14 +122,14 @@ def argvs(draw) -> list[str]:
     if group is not None:
         argv += ["--group", group]
     if n is not None:
-        argv += ["--n", str(n)]
+        argv += ["--n", spell(n)]
     for flag in draw(st.lists(st.sampled_from(FLAGS[command]), max_size=3, unique=True)):
         if flag == "--marking":  # often one class id per point
             k = max(n, 0) if n is not None and draw(st.booleans()) else draw(st.integers(0, 6))
             ids = draw(st.lists(st.integers(-1, 3), min_size=k, max_size=k))
-            flag += "=" + ",".join(map(str, ids))
+            flag += "=" + ",".join(map(spell, ids))
         argv.append(flag)
-    return argv
+    return argv, bool(odd)
 
 
 def _check(argv: list[str], capsys, malformed: bool = False) -> None:
@@ -135,17 +153,24 @@ def _integers_only(value) -> bool:
     )
 
 
+KEYS = st.sampled_from(["schema", "schema", "shcema"])  # now and then a misspelt key
+
+
 @SETTINGS
-@given(spec=specs(), extra=st.dictionaries(st.just("schema"), st.one_of(st.just(1), LEAVES)))
+@given(spec=specs(), extra=st.dictionaries(KEYS, st.one_of(st.just(1), LEAVES)))
 def test_generated_group_files(spec, extra, capsys, tmp_path):
     schema = extra.get("schema", 1)
-    malformed = not _integers_only(_entries(spec)) or type(schema) is not int or schema != 1
+    stray = "shcema" in extra or "extra" in spec.get("builtin", {})
+    malformed = (
+        stray or not _integers_only(_entries(spec)) or type(schema) is not int or schema != 1
+    )
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**spec, **extra}))
     _check(["group", "--group-file", str(path)], capsys, malformed)
 
 
 @SETTINGS
-@given(argv=argvs())
-def test_generated_argv(argv, capsys):
-    _check(argv, capsys)
+@given(drawn=argvs())
+def test_generated_argv(drawn, capsys):
+    argv, odd = drawn
+    _check(argv, capsys, malformed=odd)
