@@ -17,9 +17,10 @@ Abelian monodromy also makes the stratification sum collapse.  Once the leaf
 classes are chosen, each edge mark is forced to the product of the leaf marks
 below it, and every vertex away from the root then multiplies to the identity
 by construction.  Only the root condition can fail: the leaf marks must
-multiply to the identity.  So the sweep lists the product-one leaf tuples
-once and sums the strata over valence profiles, weighted by
-trees.profile_counts, without building a tree.  The brute-force sweep in
+multiply to the identity.  So every product-one marking carries one class,
+the strata summed over valence profiles, weighted by trees.profile_counts,
+without building a tree, and the sweep lists only the product-one class
+types (sorted class tuples).  The brute-force sweep in
 tests/test_calculator.py enumerates the trees, marks every edge freely and
 checks every vertex (trees.gerby_markings, trees.is_admissible); it is the
 oracle for both shortcuts.
@@ -27,15 +28,17 @@ oracle for both shortcuts.
 The recursion works on class types (smodules).  Its open part tests product
 one per type with hurwitz.nielsen_count, not the sweep's multiplication.  Its
 tails are the sweep classes of degrees below n, which enter through
-bbar_module, the one crossing between the routes, where each type's tuples
-must carry one class; so each level of the ladder tests the recursion
-against independently computed lower levels.
+bbar_module, the one crossing between the routes, as one generator per
+product-one type; so each level of the ladder tests the recursion against
+independently computed lower levels.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial, prod
+from typing import Iterable, Iterator
 
 from .errors import MalformedSpec, UnsupportedNonabelian
 from .groups import FiniteGroup, class_involution, conjugacy_classes
@@ -47,7 +50,6 @@ from .smodules import (
     compose,
     day_convolve,
     shift_root,
-    tuples_of,
     type_of,
     unit_i1,
     unit_i2,
@@ -57,10 +59,16 @@ from .trees import NTree, enumerate_stable_trees, profile_counts, stratum_class_
 
 @dataclass
 class StrataSweep:
-    """Everything one pass over the admissible markings of degree n yields."""
+    """Everything one pass over the product-one types of degree n yields.
+
+    types lists each product-one type once, as a sorted class tuple; every
+    marking of such a type carries the one class strata, and every other
+    marking none.
+    """
 
     n: int
-    per_marking: dict[tuple[int, ...], MotivePoly]
+    types: tuple[tuple[int, ...], ...]
+    strata: MotivePoly
     total: MotivePoly
     vertex_weighted: MotivePoly
     edge_weighted: MotivePoly
@@ -110,6 +118,16 @@ class Calculator:
         only as a binding that perfbench/trace_child.py wraps, as GerbyTree does."""
         return enumerate_stable_trees(n)
 
+    def _closed(self, prefixes: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """Each prefix, then the class of the inverse of its product."""
+        group, conj = self.group, self.conj
+        table, reps = group.table, conj.representatives
+        for prefix in prefixes:
+            acc = group.identity
+            for c in prefix:
+                acc = table[acc][reps[c]]
+            yield prefix + (conj.class_of[group.inverse[acc]],)
+
     def sweep(self, n: int) -> StrataSweep:
         """Sum stratum classes over every admissible marking of every topology.
 
@@ -117,20 +135,17 @@ class Calculator:
         root condition can fail, so every topology admits exactly the leaf
         tuples whose marks multiply to the identity, and each such tuple
         gets the same class: the sum of the strata over all topologies.
-        Each prefix of n - 1 classes is closed by the class of its inverse
-        product.  test_sweep_matches_brute_force is the oracle for this.
+        Each sorted prefix of n - 1 classes is closed by the class of its
+        inverse product, and kept if that class sorts last, which lists each
+        product-one type once.  test_sweep_matches_brute_force is the oracle
+        for this.
         """
         if n in self._sweeps:
             return self._sweeps[n]
-        group, conj = self.group, self.conj
-        markings = []
-        for prefix in itertools.product(range(conj.count), repeat=n - 1):
-            acc = group.identity
-            for c in prefix:
-                acc = group.mul(acc, conj.representatives[c])
-            markings.append(prefix + (conj.class_of[group.inv(acc)],))
-
         profiles = profile_counts(n)
+        prefixes = itertools.combinations_with_replacement(range(self.conj.count), n - 1)
+        types = tuple(t for t in self._closed(prefixes) if t[-2] <= t[-1])
+
         strata = v_w = e_w = ZERO
         for valences, count in profiles.items():
             contrib = stratum_class_of_topology(valences).scale(count)
@@ -138,11 +153,12 @@ class Calculator:
             v_w = v_w + contrib.scale(len(valences))
             e_w = e_w + contrib.scale(len(valences) - 1)
 
-        hits = len(markings)
+        hits = sum(factorial(n) // prod(factorial(t.count(c)) for c in set(t)) for t in types)
         topology_count = sum(profiles.values())
         sweep = StrataSweep(
             n=n,
-            per_marking=dict.fromkeys(markings, strata),
+            types=types,
+            strata=strata,
             total=strata.scale(hits),
             vertex_weighted=v_w.scale(hits),
             edge_weighted=e_w.scale(hits),
@@ -153,6 +169,13 @@ class Calculator:
         self._sweeps[n] = sweep
         return sweep
 
+    def per_marking(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
+        """Every product-one marking of degree n with its class: each prefix
+        of n - 1 classes closed by the class of its inverse product."""
+        strata = self.sweep(n).strata
+        prefixes = itertools.product(range(self.conj.count), repeat=n - 1)
+        return dict.fromkeys(self._closed(prefixes), strata)
+
     def class_bbar(self, n: int) -> MotivePoly:
         return self.sweep(n).total
 
@@ -161,7 +184,8 @@ class Calculator:
         for c in marking:
             if not 0 <= c <= last:
                 raise MalformedSpec(f"marking names class {c}; class ids run 0..{last}")
-        return self.sweep(len(marking)).per_marking.get(tuple(marking), ZERO)
+        sweep = self.sweep(len(marking))
+        return sweep.strata if tuple(sorted(marking)) in sweep.types else ZERO
 
     # ---- recursion route ----
 
@@ -178,10 +202,9 @@ class Calculator:
 
     def bbar_module(self, up_to: int) -> SModClass:
         """Stratification classes as generators, degrees 3..up_to, by type."""
-        per_marking = {}
-        for k in range(3, up_to + 1):
-            per_marking.update(((cvec, ()), cls) for cvec, cls in self.sweep(k).per_marking.items())
-        return SModClass.from_tuples(per_marking, self.conj.count)
+        count = self.conj.count
+        sweeps = [self.sweep(k) for k in range(3, up_to + 1)]
+        return SModClass(Atom(type_of(t, count), (), s.strata) for s in sweeps for t in s.types)
 
     def dbar_module(self, n: int) -> SModClass:
         """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
@@ -215,13 +238,14 @@ class Calculator:
         return self._terms[n]
 
     def recursion_refinement(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
-        """Per-marking breakdown of the recursion side, for diagnostics."""
+        """Per-type breakdown of the recursion side, for diagnostics: the class
+        of each marking of a type, keyed by the type's multiplicity vector."""
         signed = SModClass(
             Atom(a.mults, (), a.cls.scale(sign))
             for sign, atoms in zip((1, 1, -1), self._term_atoms(n))
             for a in atoms
         )
-        return {cvec: a.cls for a in signed.atoms() for cvec in tuples_of(a.mults)}
+        return {a.mults: a.cls for a in signed.atoms()}
 
     # ---- verification ----
 

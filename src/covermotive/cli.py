@@ -156,7 +156,8 @@ def _census(n: int, calc: Calculator | None = None):
     rows = [(per_edges[e], [e + 1, e]) for e in sorted(per_edges)]
     totals = [sum(per_edges.values())]
     if calc is not None:
-        admissible = len(calc.sweep(n).per_marking)
+        sweep = calc.sweep(n)
+        admissible = sweep.admissible_count // sweep.topology_count
         for _, row in rows:
             row += [calc.conj.count ** (n + row[1]), admissible]
         totals += [sum(count * row[2] for count, row in rows), totals[0] * admissible]
@@ -214,10 +215,11 @@ def _calculator(args) -> Calculator:
     """Load the group; refuse n < 3 and degrees beyond the marking or tree cap.
 
     The gate of class, verify and trees --group.  The sweep lists the
-    product-one class tuples of each degree up to n, the recursion works on
-    their types, and the strata, the census and verify --all-props's flag
-    count line are read off the valence profiles of the stable n-trees, so
-    the checks bound every enumeration before it starts.
+    product-one class types of each degree up to n, the recursion works on
+    types, class --per-marking lists the class tuples, and the strata, the
+    census and verify --all-props's flag count line are read off the
+    valence profiles of the stable n-trees, so the checks bound every
+    enumeration before it starts.
     """
     _require_n(args, 3)
     group = _load_group(args)
@@ -253,7 +255,7 @@ def cmd_class(args) -> int:
         if args.per_marking:
             payload["per_marking"] = {
                 ",".join(map(str, cvec)): _poly_payload(p)
-                for cvec, p in calc.sweep(n).per_marking.items()
+                for cvec, p in calc.per_marking(n).items()
             }
         if verification is not None:
             payload["verification"] = {

@@ -26,7 +26,7 @@ MAX_ORDER = 255
 SCHEMA = 1  # the one version of the group spec format
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
     table: tuple[tuple[int, ...], ...]

@@ -81,7 +81,6 @@ class MotivePoly:
 
 ZERO = MotivePoly(())
 ONE = MotivePoly((1,))
-Q = MotivePoly((0, 1))
 
 
 def monomial(*variables: str) -> Callable[[int], str]:

@@ -21,9 +21,8 @@ generating function sum_u c_u x^u/u! (Bergeron-Labelle-Leroux 1998; Getzler
   and Y^k/k! = (Y * Y^(k-1)/(k-1)!) / k.
 
 Products are truncated at the wanted degree and bucketed by degree, in
-integers: each division by k must be exact.  Tuple-indexed data enters only
-through from_tuples, which needs every tuple of a type present with one
-class.  Either check raises InexactDivision.
+integers: each division by k must be exact, or it raises InexactDivision.
+No tuple-indexed data enters: the stratification classes arrive per type.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import add
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable
 
 from .errors import InexactDivision
 from .groups import FiniteGroup, class_involution, conjugacy_classes
@@ -67,13 +66,6 @@ def type_of(evals: Iterable[int], classes: int) -> tuple[int, ...]:
 def _less_one(mults: tuple[int, ...], c: int) -> tuple[int, ...]:
     """The type with one evaluation of class c taken away."""
     return mults[:c] + (mults[c] - 1,) + mults[c + 1 :]
-
-
-def tuples_of(mults: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every evaluation tuple of a type, each once, in increasing order."""
-    if not any(mults):
-        return [()]
-    return [(c,) + t for c, k in enumerate(mults) if k for t in tuples_of(_less_one(mults, c))]
 
 
 @dataclass(frozen=True)
@@ -122,28 +114,6 @@ class SModClass:
                 if kept:
                     self._by_attach.setdefault(attach, {})[d] = kept
 
-    @classmethod
-    def from_tuples(
-        cls, generators: Mapping[tuple[tuple[int, ...], tuple[int, ...]], MotivePoly], classes: int
-    ) -> "SModClass":
-        """The module of {(evaluations, attachment): class} over `classes` classes.
-
-        Every tuple of a type must be present with one class: otherwise the
-        data is not symmetric, and storing it by type would change it.
-        """
-        seen: dict[tuple, list[MotivePoly]] = {}
-        for (evals, attach), c in generators.items():
-            if not c.is_zero:
-                seen.setdefault((type_of(evals, classes), attach), []).append(c)
-        atoms = [Atom(mults, attach, found[0]) for (mults, attach), found in seen.items()]
-        for atom, found in zip(atoms, seen.values()):
-            if len(found) != atom.tuple_count or len(set(found)) > 1:
-                raise InexactDivision(
-                    f"{len(found)} of the {atom.tuple_count} tuples of type {atom.mults} "
-                    f"are present, with classes {sorted(set(map(str, found)))}"
-                )
-        return cls(atoms)
-
     def degrees(self) -> list[int]:
         return sorted({d for series in self._by_attach.values() for d in series})
 
@@ -166,7 +136,7 @@ class SModClass:
 def unit_i1(group: FiniteGroup) -> SModClass:
     """Degree-1 unit: one generator per class, attached at that class."""
     count = conjugacy_classes(group).count
-    return SModClass.from_tuples({((c,), (c,)): ONE for c in range(count)}, count)
+    return SModClass(Atom(type_of((c,), count), (c,), ONE) for c in range(count))
 
 
 def unit_i2(group: FiniteGroup) -> SModClass:
@@ -174,10 +144,13 @@ def unit_i2(group: FiniteGroup) -> SModClass:
 
     Its slot swap acts by exchanging the evaluations and applying the
     inversion involution, which permutes these generators among themselves.
+    (iota(c), c) is of the same type, so each type is taken once, at c <= iota(c).
     """
     count = conjugacy_classes(group).count
     iota = class_involution(group)
-    return SModClass.from_tuples({((c, iota(c)), ()): ONE for c in range(count)}, count)
+    return SModClass(
+        Atom(type_of((c, iota(c)), count), (), ONE) for c in range(count) if c <= iota(c)
+    )
 
 
 def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:

@@ -150,6 +150,20 @@ def day_convolve(
     return SModClass(out)
 
 
+def tuples_of(mults: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every evaluation tuple of a type (a multiplicity vector over the
+    classes), each once, in increasing order: how a module on types reads
+    as a module on tuples."""
+    if not any(mults):
+        return [()]
+    return [
+        (c,) + t
+        for c, k in enumerate(mults)
+        if k
+        for t in tuples_of(mults[:c] + (k - 1,) + mults[c + 1 :])
+    ]
+
+
 def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every partition of {0..n-1} into nonempty blocks, each exactly once.
 
@@ -237,7 +251,7 @@ def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
     """The three recursion terms of calc at degree n, computed tuple by tuple.
 
     The open part is enumerated over all |B|^m tuples, the tails are the
-    lower-degree stratification classes of calc.sweep, and the terms are
+    lower-degree stratification classes of calc.per_marking, and the terms are
     summed over the atoms of compose and day_convolve above.
     """
     from covermotive.hurwitz import nielsen_count
@@ -253,7 +267,7 @@ def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
     bbar = SModClass(
         Atom(cvec, (), cls, 1)
         for k in range(3, n)
-        for cvec, cls in calc.sweep(k).per_marking.items()
+        for cvec, cls in calc.per_marking(k).items()
     )
     dbar = shift_root(bbar, group)
     iota = class_involution(group)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -10,10 +11,10 @@ import pytest
 
 import covermotive.calculator as calculator
 from covermotive.calculator import Calculator
-from covermotive.errors import InexactDivision, MalformedSpec, UnsupportedNonabelian
+from covermotive.errors import MalformedSpec, UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
-from covermotive.smodules import Atom, day_convolve
+from covermotive.smodules import Atom, day_convolve, type_of
 from covermotive.trees import (
     enumerate_stable_trees,
     gerby_markings,
@@ -42,7 +43,7 @@ def test_routes_share_no_code():
     recursion = (
         "open_module", "bbar_module", "dbar_module", "_term_atoms", "terms", "recursion_refinement"
     )
-    strata = ("topologies", "sweep", "class_bbar", "class_bbar_marked")
+    strata = ("topologies", "_closed", "sweep", "per_marking", "class_bbar", "class_bbar_marked")
     module = ast.parse(Path(calculator.__file__).read_text())
     imported: dict[str, set[str]] = {}
     for node in module.body:
@@ -100,21 +101,29 @@ def test_z2_class_and_markings():
 def test_per_marking_sums_to_total():
     for group in (build_cyclic(2), build_cyclic(3)):
         calc = _calc(group)
-        sweep = calc.sweep(4)
         acc = ZERO
-        for cls in sweep.per_marking.values():
+        for cls in calc.per_marking(4).values():
             acc = acc + cls
-        assert acc == sweep.total
+        assert acc == calc.sweep(4).total
 
 
 def test_per_marking_is_symmetric():
-    import itertools
-
-    calc = _calc(build_cyclic(2))
-    sweep = calc.sweep(5)
-    for cvec, cls in sweep.per_marking.items():
+    table = _calc(build_cyclic(2)).per_marking(5)
+    for cvec, cls in table.items():
         for perm in itertools.permutations(cvec):
-            assert sweep.per_marking.get(perm, ZERO) == cls
+            assert table.get(perm, ZERO) == cls
+
+
+@pytest.mark.parametrize(
+    "group", [build_cyclic(3), build_product_cyclic([2, 2])], ids=["C3", "C2xC2"]
+)
+def test_marked_class_is_read_off_its_type(group):
+    # Every marking, sorted or not, product-one or not, gets the class that
+    # the per-marking table, built tuple by tuple, gives it.
+    calc = _calc(group)
+    table = calc.per_marking(4)
+    for marking in itertools.product(range(calc.conj.count), repeat=4):
+        assert calc.class_bbar_marked(marking) == table.get(marking, ZERO), marking
 
 
 def test_open_class():
@@ -197,19 +206,6 @@ def test_terms_match_tuple_oracle(group, degrees):
         assert calc.terms(n) == oracle_terms(calc, n), f"{group.name}, n = {n}"
 
 
-def test_bbar_module_rejects_asymmetric_classes():
-    # A sweep whose per-marking classes differ within a type cannot become
-    # a module on types; the boundary check names the type.
-    calc = Calculator(build_cyclic(2))
-    sweep = calc.sweep(4)
-    sweep.per_marking[(0, 1, 1, 0)] = sweep.per_marking[(0, 1, 1, 0)].scale(2)
-    with pytest.raises(InexactDivision, match=r"classes \['2\*q \+ 2', 'q \+ 1'\]"):
-        calc.bbar_module(4)
-    del sweep.per_marking[(0, 1, 1, 0)]
-    with pytest.raises(InexactDivision, match=r"5 of the 6 tuples of type \(2, 2\)"):
-        calc.bbar_module(4)
-
-
 def test_mainprop_identities():
     calc = _calc(build_cyclic(1))
     vertex, edge, flags = calc.verify_mainprop(4)
@@ -228,9 +224,13 @@ def test_euler_identity():
 
 
 def test_refinement_matches_per_marking():
+    # The recursion gives each product-one type the sweep's class, and every
+    # other type none.
     for group, n in ((build_cyclic(2), 4), (build_cyclic(3), 4), (build_cyclic(2), 5)):
         calc = _calc(group)
-        assert calc.recursion_refinement(n) == calc.sweep(n).per_marking
+        sweep = calc.sweep(n)
+        by_type = {type_of(t, calc.conj.count): sweep.strata for t in sweep.types}
+        assert calc.recursion_refinement(n) == by_type
 
 
 def test_topology_analysis():
@@ -286,7 +286,9 @@ def test_sweep_matches_brute_force(group, degrees):
             _brute_force_sweep(group, n)
         )
         sweep = calc.sweep(n)
-        assert sweep.per_marking == per_marking, f"{group.name}, n = {n}"
+        assert calc.per_marking(n) == per_marking, f"{group.name}, n = {n}"
+        assert sorted(sweep.types) == sorted({tuple(sorted(m)) for m in per_marking})
+        assert set(per_marking.values()) == {sweep.strata}
         assert sweep.total == total
         assert sweep.vertex_weighted == vertex_weighted
         assert sweep.edge_weighted == edge_weighted

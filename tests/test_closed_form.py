@@ -23,8 +23,10 @@ CASES = [
     (build_cyclic(2), 8),
     (build_cyclic(3), 8),
     (build_product_cyclic([2, 2]), 8),
+    (build_cyclic(6), 7),
+    (build_cyclic(5), 8),
 ]
-IDS = ["C1", "C2", "C3", "C2xC2"]
+IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5"]
 
 
 def _palindromic(p: MotivePoly) -> bool:
@@ -52,5 +54,4 @@ def test_printed_classes_are_palindromic(group, top):
     calc = Calculator(group)
     for n in range(3, top + 1):
         assert _palindromic(calc.class_bbar(n)), f"total, n = {n}"
-        for marking, cls in calc.sweep(n).per_marking.items():
-            assert _palindromic(cls), f"marking {marking}"
+        assert _palindromic(calc.sweep(n).strata), f"per marking, n = {n}"

@@ -8,7 +8,6 @@ import pytest
 
 from covermotive.motives import (
     ONE,
-    Q,
     ZERO,
     MotivePoly,
     class_m0n,
@@ -17,6 +16,8 @@ from covermotive.motives import (
     to_poincare,
 )
 from oracles import brute_force_m0n_count, eval_at
+
+Q = MotivePoly((0, 1))
 
 
 def test_of_trims_trailing_zeros():

@@ -24,7 +24,7 @@ import pytest
 import covermotive.smodules as sm
 from covermotive.errors import InexactDivision
 from covermotive.groups import build_cyclic, build_product_cyclic, conjugacy_classes
-from covermotive.motives import ONE, MotivePoly, Q
+from covermotive.motives import ONE, MotivePoly
 from smodule_totals import forget_class
 from smodules_oracle import (
     Atom,
@@ -32,6 +32,7 @@ from smodules_oracle import (
     compose,
     day_convolve,
     set_partitions,
+    tuples_of,
     unit_i1,
     unit_i2,
 )
@@ -39,6 +40,7 @@ from smodules_oracle import (
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
 V4 = build_product_cyclic([2, 2])
+Q = MotivePoly((0, 1))
 
 
 def test_forget_class_sums_weighted():
@@ -61,7 +63,7 @@ def _random_type_module(rng: random.Random, classes: int, max_degree: int = 3) -
 def _as_tuples(x: sm.SModClass) -> SModClass:
     """The same module on the tuple oracle: every tuple of every type."""
     return SModClass(
-        Atom(evals, a.attach, a.cls, 1) for a in x.atoms() for evals in sm.tuples_of(a.mults)
+        Atom(evals, a.attach, a.cls, 1) for a in x.atoms() for evals in tuples_of(a.mults)
     )
 
 
@@ -76,11 +78,11 @@ def _tuple_classes(x: SModClass) -> dict[tuple, MotivePoly]:
 
 def test_type_of_and_tuples_of():
     assert sm.type_of((2, 0, 2), 3) == (1, 0, 2)
-    assert sm.tuples_of((1, 0, 2)) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
-    assert sm.tuples_of((0, 0)) == [()]
+    assert tuples_of((1, 0, 2)) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    assert tuples_of((0, 0)) == [()]
     for mults in ((3, 1), (2, 2, 1), (0, 4)):
         atom = sm.Atom(mults, (), ONE)
-        tuples = sm.tuples_of(mults)
+        tuples = tuples_of(mults)
         assert len(tuples) == len(set(tuples)) == atom.tuple_count
         assert all(sm.type_of(t, len(mults)) == mults for t in tuples)
 
@@ -90,18 +92,6 @@ def test_type_smodclass_normalizes():
     assert x.part(1) == (sm.Atom((1, 0), (), MotivePoly.of([1, 1])),)
     y = sm.SModClass([sm.Atom((1, 0), (), ONE), sm.Atom((1, 0), (), -ONE)])
     assert y == sm.SModClass() and y.degrees() == []
-
-
-def test_from_tuples_requires_every_tuple_of_a_type():
-    full = {((0, 1), ()): Q, ((1, 0), ()): Q, ((1, 1), ()): ONE}
-    x = sm.SModClass.from_tuples(full, 2)
-    assert x.part(2) == (sm.Atom((0, 2), (), ONE), sm.Atom((1, 1), (), Q))
-    # A zero class is an absent tuple.
-    assert sm.SModClass.from_tuples({**full, ((0, 0), ()): MotivePoly()}, 2) == x
-    with pytest.raises(InexactDivision, match="1 of the 2 tuples of type"):
-        sm.SModClass.from_tuples({((0, 1), ()): Q}, 2)
-    with pytest.raises(InexactDivision, match=r"classes \['1', 'q'\]"):
-        sm.SModClass.from_tuples({((0, 1), ()): Q, ((1, 0), ()): ONE}, 2)
 
 
 def test_type_units():
