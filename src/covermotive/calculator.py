@@ -50,7 +50,6 @@ from .smodules import (
     compose,
     day_convolve,
     shift_root,
-    type_of,
     unit_i1,
     unit_i2,
 )
@@ -191,20 +190,18 @@ class Calculator:
 
     def open_module(self, n: int) -> SModClass:
         """Open part, degrees 3..n: class_m0n(m) on each type that carries a cover."""
-        count = self.conj.count
         atoms = []
         for m in range(3, n + 1):
             cls = class_m0n(m)
-            for cvec in itertools.combinations_with_replacement(range(count), m):
+            for cvec in itertools.combinations_with_replacement(range(self.conj.count), m):
                 if nielsen_count(self.group, cvec) == 1:
-                    atoms.append(Atom(type_of(cvec, count), (), cls))
+                    atoms.append(Atom(cvec, (), cls))
         return SModClass(atoms)
 
     def bbar_module(self, up_to: int) -> SModClass:
         """Stratification classes as generators, degrees 3..up_to, by type."""
-        count = self.conj.count
         sweeps = [self.sweep(k) for k in range(3, up_to + 1)]
-        return SModClass(Atom(type_of(t, count), (), s.strata) for s in sweeps for t in s.types)
+        return SModClass(Atom(t, (), s.strata) for s in sweeps for t in s.types)
 
     def dbar_module(self, n: int) -> SModClass:
         """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
@@ -239,13 +236,14 @@ class Calculator:
 
     def recursion_refinement(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
         """Per-type breakdown of the recursion side, for diagnostics: the class
-        of each marking of a type, keyed by the type's multiplicity vector."""
+        of each marking of a type, keyed by the type's sorted class tuple, as
+        sweep(n).types lists it."""
         signed = SModClass(
-            Atom(a.mults, (), a.cls.scale(sign))
+            Atom(a.classes, (), a.cls.scale(sign))
             for sign, atoms in zip((1, 1, -1), self._term_atoms(n))
             for a in atoms
         )
-        return {a.mults: a.cls for a in signed.atoms()}
+        return {a.classes: a.cls for a in signed.atoms()}
 
     # ---- verification ----
 

@@ -253,10 +253,9 @@ def cmd_class(args) -> int:
             "poincare": None if poincare is None else [str(c) for c in poincare],
         }
         if args.per_marking:
-            payload["per_marking"] = {
-                ",".join(map(str, cvec)): _poly_payload(p)
-                for cvec, p in calc.per_marking(n).items()
-            }
+            # Every product-one marking carries the sweep's one class.
+            strata = _poly_payload(calc.sweep(n).strata)
+            payload["per_marking"] = {",".join(map(str, m)): strata for m in calc.per_marking(n)}
         if verification is not None:
             payload["verification"] = {
                 "equal": verification.equal,

@@ -57,6 +57,7 @@ class ConjugacyTable:
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]  # each class's elements, ascending
 
     @property
     def count(self) -> int:
@@ -316,17 +317,18 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyTable:
     n = group.order
     class_of = [-1] * n
     reps: list[int] = []
-    sizes: list[int] = []
+    members: list[tuple[int, ...]] = []
     for g in range(n):
         if class_of[g] >= 0:
             continue
         cid = len(reps)
-        members = {group.mul(group.mul(h, g), group.inv(h)) for h in range(n)}
-        for m in members:
+        conjugates = {group.mul(group.mul(h, g), group.inv(h)) for h in range(n)}
+        for m in conjugates:
             class_of[m] = cid
         reps.append(g)
-        sizes.append(len(members))
-    return ConjugacyTable(tuple(class_of), tuple(reps), tuple(sizes))
+        members.append(tuple(sorted(conjugates)))
+    sizes = tuple(map(len, members))
+    return ConjugacyTable(tuple(class_of), tuple(reps), sizes, tuple(members))
 
 
 @lru_cache(maxsize=None)

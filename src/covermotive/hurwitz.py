@@ -123,12 +123,8 @@ def nielsen_count(group: FiniteGroup, classes: Sequence[int], cap: int = DEFAULT
         work *= conj.sizes[c]
         if work > cap:
             raise SizeLimit(f"class-tuple enumeration exceeds cap {cap}")
-    pools = [
-        [g for g in range(group.order) if conj.class_of[g] == c]
-        for c in classes[:-1]
-    ]
     count = 0
-    for prefix in itertools.product(*pools):
+    for prefix in itertools.product(*(conj.members[c] for c in classes[:-1])):
         acc = group.identity
         for g in prefix:
             acc = group.mul(acc, g)

@@ -4,17 +4,20 @@ A generator of degree n over the set B of conjugacy classes carries an
 evaluation tuple in B^n (one class per marked point), an optional root
 attachment in B and a class in Z[q].  Every module of the recursion is
 symmetric under permuting evaluations, so it is stored on types: an atom
-holds, per multiplicity vector u in N^B and attachment, the class carried by
-each of the n!/u! tuples of that type.  Read as the multisort exponential
-generating function sum_u c_u x^u/u! (Bergeron-Labelle-Leroux 1998; Getzler
-1995 for composition as plethysm):
+holds, per type (the sorted tuple of its evaluations' classes, a multiset u
+of sorts in B) and attachment, the class carried by each of the n!/u! tuples
+of that type.  Read as the multisort exponential generating function
+sum_u c_u x^u/u! (Bergeron-Labelle-Leroux 1998; Getzler 1995 for
+composition as plethysm):
 
 * unit_i1 / unit_i2: the one- and two-slot units; the degree-2 unit pairs a
   class with its inverse class.
 * shift_root: drop the last evaluation and re-expose it, through the
   inversion involution, as the root attachment.
 * day_convolve: the EGF product.  A tuple of type w splits between factors
-  of types u and w - u in prod_b C(w_b, u_b) ways.
+  of types u and w - u in prod_b C(w_b, u_b) ways, where w_b counts the
+  entries b of w; only the classes b that both factors hold give a factor
+  other than 1.
 * compose: plug inner generators rooted at the outer i-th evaluation into
   slot i and quotient by the slot permutations: EGF substitution
   sum_u c_u prod_b Y_b^(u_b)/u_b!, with Y_b the inner generators rooted at b
@@ -27,9 +30,9 @@ No tuple-indexed data enters: the stratification classes arrive per type.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from operator import add
 from typing import Container, Iterable
 
 from .errors import InexactDivision
@@ -55,35 +58,23 @@ class EngineStats:
 stats = EngineStats()
 
 
-def type_of(evals: Iterable[int], classes: int) -> tuple[int, ...]:
-    """Multiplicity vector of an evaluation tuple over `classes` classes."""
-    mults = [0] * classes
-    for c in evals:
-        mults[c] += 1
-    return tuple(mults)
-
-
-def _less_one(mults: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """The type with one evaluation of class c taken away."""
-    return mults[:c] + (mults[c] - 1,) + mults[c + 1 :]
-
-
 @dataclass(frozen=True)
 class Atom:
     """The generators of one type and root attachment, each of class cls."""
 
-    mults: tuple[int, ...]
+    classes: tuple[int, ...]
     attach: tuple[int, ...]
     cls: MotivePoly
 
     @property
     def degree(self) -> int:
-        return sum(self.mults)
+        return len(self.classes)
 
     @property
     def tuple_count(self) -> int:
-        """Number of evaluation tuples of this type: degree!/prod mults!."""
-        return factorial(self.degree) // prod(map(factorial, self.mults))
+        """Number of evaluation tuples of this type: degree!/prod (run length)!."""
+        runs = Counter(self.classes).values()
+        return factorial(self.degree) // prod(map(factorial, runs))
 
 
 def _add(acc: dict, key, c: MotivePoly) -> None:
@@ -106,7 +97,7 @@ class SModClass:
     def __init__(self, atoms: Iterable[Atom] = ()):
         merged: dict[tuple[int, ...], Series] = {}
         for a in atoms:
-            _add(merged.setdefault(a.attach, {}).setdefault(a.degree, {}), a.mults, a.cls)
+            _add(merged.setdefault(a.attach, {}).setdefault(a.degree, {}), a.classes, a.cls)
         self._by_attach: dict[tuple[int, ...], Series] = {}
         for attach, series in merged.items():
             for d, part in series.items():
@@ -121,7 +112,7 @@ class SModClass:
         return tuple(a for a in self.atoms() if a.degree == n)
 
     def atoms(self) -> list[Atom]:
-        return sorted(_atoms(self._by_attach), key=lambda a: (a.degree, a.mults, a.attach))
+        return sorted(_atoms(self._by_attach), key=lambda a: (a.degree, a.classes, a.attach))
 
     def union(self, other: "SModClass") -> "SModClass":
         return SModClass(self.atoms() + other.atoms())
@@ -135,8 +126,7 @@ class SModClass:
 
 def unit_i1(group: FiniteGroup) -> SModClass:
     """Degree-1 unit: one generator per class, attached at that class."""
-    count = conjugacy_classes(group).count
-    return SModClass(Atom(type_of((c,), count), (c,), ONE) for c in range(count))
+    return SModClass(Atom((c,), (c,), ONE) for c in range(conjugacy_classes(group).count))
 
 
 def unit_i2(group: FiniteGroup) -> SModClass:
@@ -146,16 +136,14 @@ def unit_i2(group: FiniteGroup) -> SModClass:
     inversion involution, which permutes these generators among themselves.
     (iota(c), c) is of the same type, so each type is taken once, at c <= iota(c).
     """
-    count = conjugacy_classes(group).count
     iota = class_involution(group)
-    return SModClass(
-        Atom(type_of((c, iota(c)), count), (), ONE) for c in range(count) if c <= iota(c)
-    )
+    classes = range(conjugacy_classes(group).count)
+    return SModClass(Atom((c, iota(c)), (), ONE) for c in classes if c <= iota(c))
 
 
 def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
     """Drop the last evaluation, re-exposing it through inversion as the root:
-    the tuples of type w ending in b become type w - e_b rooted at iota(b)."""
+    the tuples of type w ending in b become w less one b, rooted at iota(b)."""
     iota = class_involution(group)
     out = []
     for a in x.atoms():
@@ -163,8 +151,12 @@ def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
             raise ValueError("degree-0 generator has no evaluation to re-expose")
         if a.attach:
             raise ValueError("generator already carries a root attachment")
-        drops = [b for b, k in enumerate(a.mults) if k]
-        out.extend(Atom(_less_one(a.mults, b), (iota(b),), a.cls) for b in drops)
+        t = a.classes
+        out.extend(
+            Atom(t[:i] + t[i + 1 :], (iota(b),), a.cls)
+            for i, b in enumerate(t)
+            if i == 0 or t[i - 1] != b
+        )
     return SModClass(out)
 
 
@@ -175,9 +167,12 @@ def _product(x: Series, y: Series, keep: Container[int], out: Series) -> Series:
             if dx + dy in keep:
                 acc = out.setdefault(dx + dy, {})
                 for u, cu in px.items():
+                    held = set(u)
                     for v, cv in py.items():
-                        w = tuple(map(add, u, v))
-                        _add(acc, w, (cu * cv).scale(prod(map(comb, w, u))))
+                        splits = prod(
+                            comb(u.count(b) + v.count(b), u.count(b)) for b in held.intersection(v)
+                        )
+                        _add(acc, tuple(sorted(u + v)), (cu * cv).scale(splits))
     return out
 
 
@@ -210,10 +205,12 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
 
     Produces the parts of the composite in the requested degrees.  The sum
     over outer types u of c_u prod_b Y_b^(u_b)/u_b! runs by Horner's rule
-    from the last class b to the first: the partial sums that share u's
-    entries before b are multiplied by Y_b's divided power once, truncated at
-    the degree those entries leave room for (each slot takes a label or
-    more).  A degree-0 generator of x passes through.
+    over the classes that occur in the outer types, from the last to the
+    first.  The partial sums are keyed by sorted class tuples, at first the
+    outer types.  At class b, each key that ends in a run of k entries b is
+    multiplied by Y_b^k/k!, truncated at the degree that the prefix before
+    that run leaves room for (each slot takes a label or more), and added
+    into the prefix's key.  A degree-0 generator of x passes through.
     """
     if w.part(0):
         raise ValueError("inner module must have empty degree-0 part")
@@ -223,24 +220,24 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
     wanted = set(degrees)
     top = max(wanted, default=-1)
     outer = [a for a in x.atoms() if a.degree <= top]
-    if not outer:
-        return SModClass()
-    classes = len(outer[0].mults)
-    unit: Series = {0: {(0,) * classes: ONE}}
-    powers = []
-    for b in range(classes):
+    runs: dict[int, int] = {}  # each class's longest run in an outer type
+    for a in outer:
+        for b, k in Counter(a.classes).items():
+            runs[b] = max(runs.get(b, 0), k)
+    powers: dict[int, list[Series]] = {}
+    for b, most in runs.items():
         y = w._by_attach.get((b,), {})
-        powers.append([unit, y])
-        for k in range(2, max(a.mults[b] for a in outer) + 1):
+        powers[b] = [y]  # powers[b][k - 1] is Y_b^k/k!
+        for k in range(2, most + 1):
             powers[b].append(_divided(_product(y, powers[b][-1], range(top + 1), {}), k))
     out: dict[tuple[int, ...], Series] = {}
     for attach in {a.attach for a in outer}:
-        partial = {a.mults: {0: {(0,) * classes: a.cls}} for a in outer if a.attach == attach}
-        for b in reversed(range(classes)):
-            summed: dict[tuple[int, ...], Series] = {}
-            for mults, s in partial.items():
-                room = wanted if b == 0 else range(top - sum(mults[:b]) + 1)
-                _product(powers[b][mults[b]], s, room, summed.setdefault(mults[:b], {}))
-            partial = summed
-        out[attach] = partial[()]
+        partial = {a.classes: {0: {(): a.cls}} for a in outer if a.attach == attach}
+        for b in sorted(runs, reverse=True):
+            for t in [t for t in partial if t and t[-1] == b]:
+                head = t.index(b)
+                room = range(top - head + 1) if head else wanted
+                into = partial.setdefault(t[:head], {})
+                _product(powers[b][len(t) - head - 1], partial.pop(t), room, into)
+        out[attach] = {d: part for d, part in partial.get((), {}).items() if d in wanted}
     return SModClass(_atoms(out))

@@ -150,17 +150,17 @@ def day_convolve(
     return SModClass(out)
 
 
-def tuples_of(mults: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every evaluation tuple of a type (a multiplicity vector over the
-    classes), each once, in increasing order: how a module on types reads
-    as a module on tuples."""
-    if not any(mults):
+def tuples_of(classes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every evaluation tuple of a type (a sorted class tuple), each once, in
+    increasing order: the distinct permutations of the type, which is how a
+    module on types reads as a module on tuples."""
+    if not classes:
         return [()]
     return [
         (c,) + t
-        for c, k in enumerate(mults)
-        if k
-        for t in tuples_of(mults[:c] + (k - 1,) + mults[c + 1 :])
+        for i, c in enumerate(classes)
+        if i == 0 or classes[i - 1] != c
+        for t in tuples_of(classes[:i] + classes[i + 1 :])
     ]
 
 

@@ -14,7 +14,7 @@ from covermotive.calculator import Calculator
 from covermotive.errors import MalformedSpec, UnsupportedNonabelian
 from covermotive.groups import build_cyclic, build_product_cyclic, build_symmetric
 from covermotive.motives import ONE, ZERO, MotivePoly
-from covermotive.smodules import Atom, day_convolve, type_of
+from covermotive.smodules import Atom, day_convolve
 from covermotive.trees import (
     enumerate_stable_trees,
     gerby_markings,
@@ -131,10 +131,10 @@ def test_open_class():
     assert forget_class(trivial.open_module(4), 4) == TRIVIAL([-2, 1])
     calc = _calc(build_cyclic(2))
     assert forget_class(calc.open_module(4), 4) == TRIVIAL([-16, 8])
-    by_type = {a.mults: a.cls for a in calc.open_module(4).part(4)}
-    assert by_type[(0, 4)] == TRIVIAL([-2, 1])
-    assert by_type.get((3, 1), ZERO) == ZERO
-    assert sorted(by_type) == [(0, 4), (2, 2), (4, 0)]
+    by_type = {a.classes: a.cls for a in calc.open_module(4).part(4)}
+    assert by_type[(1, 1, 1, 1)] == TRIVIAL([-2, 1])
+    assert by_type.get((0, 0, 0, 1), ZERO) == ZERO
+    assert sorted(by_type) == [(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)]
 
 
 def _tail(calc: Calculator, n: int, k: int, c: int) -> MotivePoly:
@@ -166,12 +166,12 @@ def test_modules_shape():
     trivial = _calc(build_cyclic(1))
     om = trivial.open_module(4)
     assert om.degrees() == [3, 4]
-    assert om.part(3) == (Atom((3,), (), ONE),)
+    assert om.part(3) == (Atom((0, 0, 0), (), ONE),)
     dbar = trivial.dbar_module(4)
     assert dbar.degrees() == [2]
     atoms = dbar.part(2)
     assert len(atoms) == 1
-    assert atoms[0].mults == (2,)
+    assert atoms[0].classes == (0, 0)
     assert atoms[0].attach == (0,)
     assert atoms[0].cls == ONE
 
@@ -225,12 +225,18 @@ def test_euler_identity():
 
 def test_refinement_matches_per_marking():
     # The recursion gives each product-one type the sweep's class, and every
-    # other type none.
-    for group, n in ((build_cyclic(2), 4), (build_cyclic(3), 4), (build_cyclic(2), 5)):
+    # other type none.  C6 and C13 have types that leave most classes absent.
+    cases = [
+        (build_cyclic(2), 4),
+        (build_cyclic(3), 4),
+        (build_cyclic(2), 5),
+        (build_cyclic(6), 6),
+        (build_cyclic(13), 4),
+    ]
+    for group, n in cases:
         calc = _calc(group)
         sweep = calc.sweep(n)
-        by_type = {type_of(t, calc.conj.count): sweep.strata for t in sweep.types}
-        assert calc.recursion_refinement(n) == by_type
+        assert calc.recursion_refinement(n) == {t: sweep.strata for t in sweep.types}
 
 
 def test_topology_analysis():

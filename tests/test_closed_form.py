@@ -25,8 +25,9 @@ CASES = [
     (build_product_cyclic([2, 2]), 8),
     (build_cyclic(6), 7),
     (build_cyclic(5), 8),
+    (build_cyclic(13), 4),
 ]
-IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5"]
+IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5", "C13"]
 
 
 def _palindromic(p: MotivePoly) -> bool:

@@ -1,16 +1,16 @@
 """Laws of the graded composition engine, and its comparison with the tuple oracle.
 
-covermotive.smodules stores a symmetric module by type.  The type_ tests
-state its unit, root-shift, product, associativity and interchange laws.
-smodules_oracle.py is the tuple engine it replaced, one atom per evaluation
-tuple, kept in tests/ as its oracle: test_type_engine_matches_tuple_oracle
-compares the two engines here, and test_calculator.py compares the recursion
-terms they give.  Anchors tie the oracle to values worked by hand: the
-degree-two composition, the Bell numbers and block order of the set
-partitions it shuffles over, and the refusal of an outer module that is not
-closed under permuting evaluations, the hypothesis under which one shuffle
-per slot orbit stands for the quotient.  Type inputs are symmetric by
-construction.
+covermotive.smodules stores a symmetric module by type, the sorted tuple of
+its evaluations' classes.  The type_ tests state its unit, root-shift,
+product, associativity and interchange laws.  smodules_oracle.py is the
+tuple engine it replaced, one atom per evaluation tuple, kept in tests/ as
+its oracle: test_type_engine_matches_tuple_oracle compares the two engines
+here, and test_calculator.py compares the recursion terms they give.
+Anchors tie the oracle to values worked by hand: the degree-two
+composition, the Bell numbers and block order of the set partitions it
+shuffles over, and the refusal of an outer module that is not closed under
+permuting evaluations, the hypothesis under which one shuffle per slot orbit
+stands for the quotient.  Type inputs are symmetric by construction.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ from smodules_oracle import (
 
 Z2 = build_cyclic(2)
 Z3 = build_cyclic(3)
+C5 = build_cyclic(5)
 V4 = build_product_cyclic([2, 2])
 Q = MotivePoly((0, 1))
 
 
 def test_forget_class_sums_weighted():
-    # Type (2, 0) has one tuple of class q; type (1, 1) has two of class 1.
-    x = sm.SModClass([sm.Atom((2, 0), (), Q), sm.Atom((1, 1), (), ONE)])
+    # Type (0, 0) has one tuple of class q; type (0, 1) has two of class 1.
+    x = sm.SModClass([sm.Atom((0, 0), (), Q), sm.Atom((0, 1), (), ONE)])
     assert forget_class(x, 2) == MotivePoly.of([2, 1])
     assert forget_class(x, 1).is_zero
 
@@ -56,14 +57,14 @@ def _random_type_module(rng: random.Random, classes: int, max_degree: int = 3) -
     for _ in range(rng.randrange(1, 4)):
         evals = [rng.randrange(classes) for _ in range(rng.randrange(1, max_degree + 1))]
         cls = MotivePoly.of([rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))])
-        atoms.append(sm.Atom(sm.type_of(evals, classes), (rng.randrange(classes),), cls))
+        atoms.append(sm.Atom(tuple(sorted(evals)), (rng.randrange(classes),), cls))
     return sm.SModClass(atoms)
 
 
 def _as_tuples(x: sm.SModClass) -> SModClass:
     """The same module on the tuple oracle: every tuple of every type."""
     return SModClass(
-        Atom(evals, a.attach, a.cls, 1) for a in x.atoms() for evals in tuples_of(a.mults)
+        Atom(evals, a.attach, a.cls, 1) for a in x.atoms() for evals in tuples_of(a.classes)
     )
 
 
@@ -77,65 +78,71 @@ def _tuple_classes(x: SModClass) -> dict[tuple, MotivePoly]:
 
 
 def test_type_of_and_tuples_of():
-    assert sm.type_of((2, 0, 2), 3) == (1, 0, 2)
-    assert tuples_of((1, 0, 2)) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
-    assert tuples_of((0, 0)) == [()]
-    for mults in ((3, 1), (2, 2, 1), (0, 4)):
-        atom = sm.Atom(mults, (), ONE)
-        tuples = tuples_of(mults)
+    # The type of a tuple is its sorted tuple; tuples_of lists every tuple of a type.
+    assert tuples_of((0, 2, 2)) == [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    assert tuples_of(()) == [()]
+    for classes in ((0, 0, 0, 1), (0, 0, 1, 1, 2), (1, 1, 1, 1), (0, 3, 3, 7)):
+        atom = sm.Atom(classes, (), ONE)
+        tuples = tuples_of(classes)
         assert len(tuples) == len(set(tuples)) == atom.tuple_count
-        assert all(sm.type_of(t, len(mults)) == mults for t in tuples)
+        assert all(tuple(sorted(t)) == classes for t in tuples)
 
 
 def test_type_smodclass_normalizes():
-    x = sm.SModClass([sm.Atom((1, 0), (), ONE), sm.Atom((1, 0), (), Q)])
-    assert x.part(1) == (sm.Atom((1, 0), (), MotivePoly.of([1, 1])),)
-    y = sm.SModClass([sm.Atom((1, 0), (), ONE), sm.Atom((1, 0), (), -ONE)])
+    x = sm.SModClass([sm.Atom((0,), (), ONE), sm.Atom((0,), (), Q)])
+    assert x.part(1) == (sm.Atom((0,), (), MotivePoly.of([1, 1])),)
+    y = sm.SModClass([sm.Atom((0,), (), ONE), sm.Atom((0,), (), -ONE)])
     assert y == sm.SModClass() and y.degrees() == []
 
 
 def test_type_units():
     z3 = build_cyclic(3)
-    assert sm.unit_i1(z3) == sm.SModClass(
-        sm.Atom(sm.type_of((c,), 3), (c,), ONE) for c in range(3)
-    )
+    assert sm.unit_i1(z3) == sm.SModClass(sm.Atom((c,), (c,), ONE) for c in range(3))
     # (1, 2) and (2, 1) are the two tuples of one type.
-    assert sm.unit_i2(z3).part(2) == (sm.Atom((0, 1, 1), (), ONE), sm.Atom((2, 0, 0), (), ONE))
+    assert sm.unit_i2(z3).part(2) == (sm.Atom((0, 0), (), ONE), sm.Atom((1, 2), (), ONE))
     assert _as_tuples(sm.unit_i2(z3)) == unit_i2(z3)
 
 
 def test_type_shift_root():
     for group in (build_cyclic(1), Z2, Z3, V4):
         assert sm.shift_root(sm.unit_i2(group), group) == sm.unit_i1(group)
-    # Type (1, 1, 0) over C3: dropping a 0 roots the rest at 0, dropping a 1 at 2.
-    x = sm.SModClass([sm.Atom((1, 1, 0), (), Q)])
-    assert sm.shift_root(x, Z3).atoms() == [
-        sm.Atom((0, 1, 0), (0,), Q),
-        sm.Atom((1, 0, 0), (2,), Q),
+    # Type (0, 1) over C3: dropping the 0 roots the rest at 0, dropping the 1 at 2.
+    x = sm.SModClass([sm.Atom((0, 1), (), Q)])
+    assert sm.shift_root(x, Z3).atoms() == [sm.Atom((0,), (2,), Q), sm.Atom((1,), (0,), Q)]
+    # A run of one class drops once: (1, 1, 1, 2) over C5 gives two rooted types.
+    y = sm.SModClass([sm.Atom((1, 1, 1, 2), (), Q)])
+    assert sm.shift_root(y, C5).atoms() == [
+        sm.Atom((1, 1, 1), (3,), Q),
+        sm.Atom((1, 1, 2), (4,), Q),
     ]
     with pytest.raises(ValueError, match="no evaluation to re-expose"):
-        sm.shift_root(sm.SModClass([sm.Atom((0, 0), (), ONE)]), Z2)
+        sm.shift_root(sm.SModClass([sm.Atom((), (), ONE)]), Z2)
     with pytest.raises(ValueError):
         sm.shift_root(sm.unit_i1(Z2), Z2)
 
 
 def test_type_day_convolve_binomials():
-    x = sm.SModClass([sm.Atom((1, 0), (), ONE)])
-    y = sm.SModClass([sm.Atom((0, 2), (), ONE)])
-    # Each of the three tuples of type (1, 2) splits one way.
-    assert sm.day_convolve(x, y, {3}).atoms() == [sm.Atom((1, 2), (), ONE)]
+    x = sm.SModClass([sm.Atom((0,), (), ONE)])
+    y = sm.SModClass([sm.Atom((1, 1), (), ONE)])
+    # Each of the three tuples of type (0, 1, 1) splits one way.
+    assert sm.day_convolve(x, y, {3}).atoms() == [sm.Atom((0, 1, 1), (), ONE)]
     # The tuple (0, 0) splits two ways between two degree-1 factors.
-    assert sm.day_convolve(x, x, {2}).atoms() == [sm.Atom((2, 0), (), MotivePoly.of([2]))]
+    assert sm.day_convolve(x, x, {2}).atoms() == [sm.Atom((0, 0), (), MotivePoly.of([2]))]
     assert sm.day_convolve(x, y, {3}) == sm.day_convolve(y, x, {3})
-    u0 = sm.SModClass([sm.Atom((0, 0), (), ONE)])
+    # Types sharing two classes: (0, 1) * (0, 1) gives (0, 0, 1, 1) in C(2, 1)^2 ways.
+    z = sm.SModClass([sm.Atom((0, 1), (), ONE)])
+    assert sm.day_convolve(z, z, {4}).atoms() == [sm.Atom((0, 0, 1, 1), (), MotivePoly.of([4]))]
+    u0 = sm.SModClass([sm.Atom((), (), ONE)])
     assert sm.day_convolve(x, u0, {1}) == x == sm.day_convolve(u0, x, {1})
     assert sm.day_convolve(x, y, {2}) == sm.SModClass()
 
 
 def test_type_engine_matches_tuple_oracle():
+    # C5's random types leave most of its classes absent, so Horner's rule
+    # in compose passes over absent classes between present ones.
     rng = random.Random(29)
-    for trial in range(8):
-        group = (Z2, Z3)[trial % 2]
+    for trial in range(12):
+        group = (Z2, Z3, C5)[trial % 3]
         x = _random_type_module(rng, group.order, max_degree=2)
         y = _random_type_module(rng, group.order, max_degree=2)
         w = _random_type_module(rng, group.order, max_degree=2)
@@ -179,28 +186,26 @@ def test_type_compose_interchange_with_day_convolution():
 def test_type_compose_edge_cases():
     x = sm.unit_i2(Z2)
     with pytest.raises(ValueError, match="lack a root attachment"):
-        sm.compose(x, sm.SModClass([sm.Atom((1, 0), (), ONE)]), {2})
+        sm.compose(x, sm.SModClass([sm.Atom((0,), (), ONE)]), {2})
     with pytest.raises(ValueError, match="empty degree-0 part"):
-        sm.compose(x, sm.SModClass([sm.Atom((0, 0), (0,), ONE)]), {2})
+        sm.compose(x, sm.SModClass([sm.Atom((), (0,), ONE)]), {2})
     assert sm.compose(x, sm.unit_i1(Z2), set()) == sm.SModClass()
     assert sm.compose(sm.SModClass(), sm.unit_i1(Z2), {1}) == sm.SModClass()
     assert sm.compose(x, sm.SModClass(), {2}) == sm.SModClass()
-    constant = sm.SModClass([sm.Atom((0, 0), (), Q)])
+    constant = sm.SModClass([sm.Atom((), (), Q)])
     assert sm.compose(constant, sm.unit_i1(Z2), {0}) == constant
 
 
 def test_division_check_rejects_a_remainder():
     with pytest.raises(InexactDivision, match="not divisible by 2"):
-        sm._divided({1: {(1, 0): MotivePoly.of([2, 3])}}, 2)
-    assert sm._divided({1: {(1, 0): MotivePoly.of([2, 4])}}, 2) == {
-        1: {(1, 0): MotivePoly.of([1, 2])}
-    }
+        sm._divided({1: {(0,): MotivePoly.of([2, 3])}}, 2)
+    assert sm._divided({1: {(0,): MotivePoly.of([2, 4])}}, 2) == {1: {(0,): MotivePoly.of([1, 2])}}
 
 
 def test_division_check_catches_a_product_without_binomials(monkeypatch):
     # With every binomial read as 1, x_0 * x_0 gives the tuple (0, 0) class 1
     # instead of 2, and halving it for the divided square is inexact.
-    outer = sm.SModClass([sm.Atom((2, 0), (), ONE)])
+    outer = sm.SModClass([sm.Atom((0, 0), (), ONE)])
     assert sm.compose(outer, sm.unit_i1(Z2), {2}) == outer
     monkeypatch.setattr(sm, "comb", lambda n, k: 1)
     with pytest.raises(InexactDivision):
@@ -210,10 +215,10 @@ def test_division_check_catches_a_product_without_binomials(monkeypatch):
 def test_type_freeness_counter_counts_divisions():
     before = sm.stats.freeness_checks
     # One divided square, with one coefficient: x_0^2 / 2.
-    sm.compose(sm.SModClass([sm.Atom((2, 0), (), ONE)]), sm.unit_i1(Z2), {2})
+    sm.compose(sm.SModClass([sm.Atom((0, 0), (), ONE)]), sm.unit_i1(Z2), {2})
     assert sm.stats.freeness_checks == before + 1
     # A square-free outer type divides nothing.
-    sm.compose(sm.SModClass([sm.Atom((1, 1), (), ONE)]), sm.unit_i1(Z2), {2})
+    sm.compose(sm.SModClass([sm.Atom((0, 1), (), ONE)]), sm.unit_i1(Z2), {2})
     assert sm.stats.freeness_checks == before + 1
 
 
