@@ -4,7 +4,7 @@ Route one stratifies: over stable marked trees, keep the admissible
 markings and sum one moduli factor per vertex.  Route two recurses: express
 the degree-n class through the composition calculus applied to the open part
 and to lower-degree tail classes.  The headline check is that the two routes
-agree, degree by degree and group by group; the three stratification
+agree, type by type and group by group; the three stratification
 identities (vertex, edge, inner-flag counts against the three recursion
 terms) refine that agreement.
 
@@ -71,23 +71,23 @@ class StrataSweep:
     total: MotivePoly
     vertex_weighted: MotivePoly
     edge_weighted: MotivePoly
-    inner_flag_weighted: MotivePoly
     topology_count: int
     admissible_count: int
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    name: str
-    group_name: str
-    n: int
+    """first_difference is the first type, in sorted order, whose classes
+    differ, with the sweep's class and the recursion's; None if none does."""
+
     lhs: MotivePoly
     rhs: MotivePoly
     terms: tuple[tuple[str, MotivePoly], ...]
+    first_difference: tuple[tuple[int, ...], MotivePoly, MotivePoly] | None
 
     @property
     def equal(self) -> bool:
-        return self.lhs == self.rhs
+        return self.first_difference is None
 
 
 class Calculator:
@@ -108,7 +108,7 @@ class Calculator:
         self.conj = conjugacy_classes(group)
         self.iota = class_involution(group)
         self._sweeps: dict[int, StrataSweep] = {}
-        self._terms: dict[int, tuple[MotivePoly, MotivePoly, MotivePoly]] = {}
+        self._terms: dict[int, tuple] = {}
 
     # ---- stratification route ----
 
@@ -161,7 +161,6 @@ class Calculator:
             total=strata.scale(hits),
             vertex_weighted=v_w.scale(hits),
             edge_weighted=e_w.scale(hits),
-            inner_flag_weighted=e_w.scale(2 * hits),  # flags minus leaves
             topology_count=topology_count,
             admissible_count=hits * topology_count,
         )
@@ -227,63 +226,53 @@ class Calculator:
             pairs,
         )
 
-    def terms(self, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
-        """The three recursion terms at degree n (third enters negatively)."""
+    def terms(self, n: int) -> tuple[tuple[MotivePoly, ...], dict[tuple[int, ...], MotivePoly]]:
+        """The three recursion terms at degree n (third enters negatively), and
+        their signed sum per type: the class of each marking of a type, keyed
+        by the type's sorted class tuple, as sweep(n).types lists it."""
         if n not in self._terms:
-            counted = [[a.cls.scale(a.tuple_count) for a in atoms] for atoms in self._term_atoms(n)]
-            self._terms[n] = tuple(sum(classes, ZERO) for classes in counted)
+            term_atoms = self._term_atoms(n)
+            totals = tuple(sum((a.cls.scale(a.tuple_count) for a in t), ZERO) for t in term_atoms)
+            signed = SModClass(
+                Atom(a.classes, (), a.cls.scale(sign))
+                for sign, atoms in zip((1, 1, -1), term_atoms)
+                for a in atoms
+            )
+            self._terms[n] = totals, {a.classes: a.cls for a in signed.atoms()}
         return self._terms[n]
-
-    def recursion_refinement(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
-        """Per-type breakdown of the recursion side, for diagnostics: the class
-        of each marking of a type, keyed by the type's sorted class tuple, as
-        sweep(n).types lists it."""
-        signed = SModClass(
-            Atom(a.classes, (), a.cls.scale(sign))
-            for sign, atoms in zip((1, 1, -1), self._term_atoms(n))
-            for a in atoms
-        )
-        return {a.classes: a.cls for a in signed.atoms()}
 
     # ---- verification ----
 
     def verify_main_theorem(self, n: int) -> VerificationReport:
-        t1, t2, t3 = self.terms(n)
+        """Both routes type by type.  Each total weights every type's class by
+        its tuple count, so types that agree give totals that agree."""
+        (t1, t2, t3), recursion = self.terms(n)
+        sweep = self.sweep(n)
+        strata = dict.fromkeys(sweep.types, sweep.strata)
+        types = sorted({*strata, *recursion})
+        sides = ((t, strata.get(t, ZERO), recursion.get(t, ZERO)) for t in types)
         return VerificationReport(
-            name="stratification equals recursion",
-            group_name=self.group.name,
-            n=n,
             lhs=self.class_bbar(n),
             rhs=t1 + t2 - t3,
             terms=(("slots", t1), ("edge_unit", t2), ("ordered_pairs", t3)),
+            first_difference=next((s for s in sides if s[1] != s[2]), None),
         )
 
-    def verify_mainprop(self, n: int) -> tuple[VerificationReport, ...]:
-        """Vertex-, edge- and inner-flag-weighted strata against the three terms.
+    def verify_mainprop(self, n: int) -> tuple[tuple[str, MotivePoly, MotivePoly], ...]:
+        """Vertex-, edge- and inner-flag-weighted strata against the three
+        terms, as (name, strata, term) triples.
 
         The third identity is twice the second on both sides, so it is no
         independent check: flags minus leaves is 2E on a tree with E edges,
         and the ordered pairs sum_c D_c D_iota(c) are twice the edge unit.
         """
         sweep = self.sweep(n)
-        t1, t2, t3 = self.terms(n)
-        mk = lambda name, lhs, rhs, tag: VerificationReport(
-            name=name,
-            group_name=self.group.name,
-            n=n,
-            lhs=lhs,
-            rhs=rhs,
-            terms=((tag, rhs),),
-        )
+        t1, t2, t3 = self.terms(n)[0]
+        flags = sweep.edge_weighted.scale(2)  # flags minus leaves: two per edge
         return (
-            mk("vertex-weighted strata equal slot term", sweep.vertex_weighted, t1, "slots"),
-            mk("edge-weighted strata equal edge-unit term", sweep.edge_weighted, t2, "edge_unit"),
-            mk(
-                "inner-flag-weighted strata equal ordered-pair term",
-                sweep.inner_flag_weighted,
-                t3,
-                "ordered_pairs",
-            ),
+            ("vertex-weighted strata equal slot term", sweep.vertex_weighted, t1),
+            ("edge-weighted strata equal edge-unit term", sweep.edge_weighted, t2),
+            ("inner-flag-weighted strata equal ordered-pair term", flags, t3),
         )
 
     def euler_identity_check(self, n: int) -> bool:

@@ -5,8 +5,8 @@ Subcommands:
 * group    - build a group and print its conjugacy data
 * trees    - census of stable trees, optionally with class markings
 * class    - compute the compactified class for a group and degree
-* verify   - check stratification against recursion, exit 0 only on agreement
-* hurwitz  - enumerate product-one tuples and braid orbits
+* verify   - stratification against recursion type by type, exit 0 only on agreement
+* hurwitz  - count product-one tuples, and with --orbits list their braid orbits
 
 Groups are given either as --group strings (cyclic:3, product_cyclic:2,2,
 dihedral:4, symmetric:3) or as a JSON spec file via --group-file, never both;
@@ -284,17 +284,20 @@ def cmd_verify(args) -> int:
     calc = _calculator(args)
     report = calc.verify_main_theorem(args.n)
     ok = report.equal
-    print(f"{report.group_name}, n = {report.n}")
+    print(f"{calc.group.name}, n = {args.n}")
     for name, term in report.terms:
         print(f"  {name}: {term}")
     print(f"  stratification: {report.lhs}")
     print(f"  recursion:      {report.rhs}")
     print(f"  {'EQUAL' if report.equal else 'MISMATCH'}")
+    if not report.equal:
+        cvec, strata, recursion = report.first_difference
+        print(f"  first differing type {','.join(map(str, cvec))}: "
+              f"stratification {strata}, recursion {recursion}")
     if args.all_props:
-        for sub in calc.verify_mainprop(args.n):
-            ok = ok and sub.equal
-            print(f"  {sub.name}: {'EQUAL' if sub.equal else 'MISMATCH'} "
-                  f"({sub.lhs} vs {sub.rhs})")
+        for name, lhs, rhs in calc.verify_mainprop(args.n):
+            ok = ok and lhs == rhs
+            print(f"  {name}: {'EQUAL' if lhs == rhs else 'MISMATCH'} ({lhs} vs {rhs})")
         euler = calc.euler_identity_check(args.n)
         ok = ok and euler
         print(f"  per-tree flag count identity: {'HOLDS' if euler else 'FAILS'}")
@@ -319,9 +322,10 @@ def cmd_hurwitz(args) -> int:
         raise SizeLimit(
             f"{group.order}^{args.n - 1} tuples of length {args.n}{moves} exceed tuple cap {cap}"
         )
-    vectors = enumerate_hurwitz(group, args.n, cap=cap)
-    print(f"product-one tuples for {group.name}, n = {args.n}: {len(vectors)}")
+    # The last entry is forced by the first n - 1, so the count needs no list.
+    print(f"product-one tuples for {group.name}, n = {args.n}: {group.order ** (args.n - 1)}")
     if args.orbits:
+        vectors = enumerate_hurwitz(group, args.n, cap=cap)
         orbits = braid_orbits(group, vectors, mod_conjugation=args.mod_conj)
         print(f"braid orbits{' mod conjugation' if args.mod_conj else ''}: {len(orbits)}")
         print("orbit,size,representative")

@@ -40,9 +40,7 @@ def test_routes_share_no_code():
     # The two routes check each other only while neither reads the other's
     # code.  The one crossing is bbar_module, which reads the sweep classes of
     # lower degrees as the recursion's tails.
-    recursion = (
-        "open_module", "bbar_module", "dbar_module", "_term_atoms", "terms", "recursion_refinement"
-    )
+    recursion = ("open_module", "bbar_module", "dbar_module", "_term_atoms", "terms")
     strata = ("topologies", "_closed", "sweep", "per_marking", "class_bbar", "class_bbar_marked")
     module = ast.parse(Path(calculator.__file__).read_text())
     imported: dict[str, set[str]] = {}
@@ -81,7 +79,7 @@ def test_rejects_nonabelian():
 
 def test_trivial_group_term_breakdown_n4():
     calc = _calc(build_cyclic(1))
-    t1, t2, t3 = calc.terms(4)
+    t1, t2, t3 = calc.terms(4)[0]
     assert t1 == TRIVIAL([4, 1])
     assert t2 == TRIVIAL([3])
     assert t3 == TRIVIAL([6])
@@ -203,40 +201,23 @@ def test_ordered_pairs_convolve_only_unit_pairs():
 def test_terms_match_tuple_oracle(group, degrees):
     calc = _calc(group)
     for n in degrees:
-        assert calc.terms(n) == oracle_terms(calc, n), f"{group.name}, n = {n}"
+        assert calc.terms(n)[0] == oracle_terms(calc, n), f"{group.name}, n = {n}"
 
 
 def test_mainprop_identities():
     calc = _calc(build_cyclic(1))
-    vertex, edge, flags = calc.verify_mainprop(4)
-    assert vertex.lhs == TRIVIAL([4, 1]) and vertex.equal
-    assert edge.lhs == TRIVIAL([3]) and edge.equal
-    assert flags.lhs == TRIVIAL([6]) and flags.equal
+    assert [lhs for _, lhs, _ in calc.verify_mainprop(4)] == [
+        TRIVIAL([4, 1]), TRIVIAL([3]), TRIVIAL([6])
+    ]
     for group in (build_cyclic(1), build_cyclic(2), build_cyclic(3), build_product_cyclic([2, 2])):
         for n in (4, 5, 6):
-            for sub in _calc(group).verify_mainprop(n):
-                assert sub.equal, (group.name, n, sub.name)
+            for name, lhs, rhs in _calc(group).verify_mainprop(n):
+                assert lhs == rhs, (group.name, n, name)
 
 
 def test_euler_identity():
     calc = _calc(build_cyclic(1))
     assert all(calc.euler_identity_check(n) for n in range(3, 10))
-
-
-def test_refinement_matches_per_marking():
-    # The recursion gives each product-one type the sweep's class, and every
-    # other type none.  C6 and C13 have types that leave most classes absent.
-    cases = [
-        (build_cyclic(2), 4),
-        (build_cyclic(3), 4),
-        (build_cyclic(2), 5),
-        (build_cyclic(6), 6),
-        (build_cyclic(13), 4),
-    ]
-    for group, n in cases:
-        calc = _calc(group)
-        sweep = calc.sweep(n)
-        assert calc.recursion_refinement(n) == {t: sweep.strata for t in sweep.types}
 
 
 def test_topology_analysis():
@@ -298,7 +279,6 @@ def test_sweep_matches_brute_force(group, degrees):
         assert sweep.total == total
         assert sweep.vertex_weighted == vertex_weighted
         assert sweep.edge_weighted == edge_weighted
-        assert sweep.inner_flag_weighted == edge_weighted.scale(2)
         assert per_topology == [group.order ** (n - 1)] * len(per_topology)
         assert sweep.topology_count == len(per_topology)
         assert sweep.admissible_count == sum(per_topology)

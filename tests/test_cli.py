@@ -200,6 +200,38 @@ def test_verify_all_props_reports_a_broken_flag_count(capsys, monkeypatch):
     assert "MISMATCH" not in out
 
 
+def test_verify_names_a_type_that_the_totals_hide(capsys, monkeypatch):
+    # Rooting every tail at its own class instead of the inverse class moves
+    # classes between types and keeps every total, so only the per-type
+    # comparison sees it.
+    monkeypatch.setattr(smodules, "class_involution", lambda group: lambda c: c)
+    code, out, _ = _run(capsys, "verify", "--group", "cyclic:3", "--n", "5", "--all-props")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[4] == "  stratification: 81*q^2 + 405*q + 81"
+    assert lines[5] == "  recursion:      81*q^2 + 405*q + 81"
+    assert lines[6:8] == [
+        "  MISMATCH",
+        "  first differing type 0,0,0,1,1: stratification 0, recursion 18*q + 6",
+    ]
+    code, out, _ = _run(capsys, "class", "--group", "cyclic:3", "--n", "5", "--with-verification")
+    assert json.loads(out)["verification"]["equal"] is False
+
+
+def test_verify_names_a_type_when_a_total_differs(capsys, monkeypatch):
+    import covermotive.calculator as calculator
+
+    monkeypatch.setattr(calculator, "unit_i2", lambda group: smodules.SModClass())
+    code, out, _ = _run(capsys, "verify", "--group", "cyclic:3", "--n", "5")
+    assert code == 1
+    assert out.splitlines()[4:] == [
+        "  stratification: 81*q^2 + 405*q + 81",
+        "  recursion:      81*q^2 - 405*q - 729",
+        "  MISMATCH",
+        "  first differing type 0,0,0,0,0: stratification q^2 + 5*q + 1, recursion q^2 - 5*q - 9",
+    ]
+
+
 def test_verify_deterministic_across_runs(capsys):
     runs = set()
     for _ in range(2):
@@ -237,6 +269,16 @@ def test_hurwitz_mod_conj(capsys):
         "3,3,1 2 3\n"
         "4,1,3 3 3\n"
     )
+
+
+@pytest.mark.parametrize("line, count", [("cyclic:2 --n 22", 2097152), ("symmetric:3 --n 5", 1296)])
+def test_hurwitz_counts_without_listing(line, count, capsys, monkeypatch):
+    # The last entry of a product-one tuple is forced, so there are
+    # order^(n-1) of them, and without --orbits none is listed.
+    monkeypatch.setattr(cli, "enumerate_hurwitz", _no_work)
+    code, out, _ = _run(capsys, "hurwitz", "--group", *line.split())
+    assert code == 0
+    assert out.endswith(f", n = {line.split()[-1]}: {count}\n") and out.count("\n") == 1
 
 
 # Every refusal of the command line: id: (argv, exit code, a fragment of the

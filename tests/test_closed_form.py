@@ -46,8 +46,11 @@ def test_both_routes_equal_keel_closed_form(group, top):
     for n in range(3, top + 1):
         want = keel_class(n).scale(group.order ** (n - 1))
         assert calc.class_bbar(n) == want, f"stratification, n = {n}"
-        t1, t2, t3 = calc.terms(n)
+        (t1, t2, t3), per_type = calc.terms(n)
         assert t1 + t2 - t3 == want, f"recursion, n = {n}"
+        # Type by type: every product-one type carries Keel's class, and no
+        # other type any class.
+        assert per_type == dict.fromkeys(calc.sweep(n).types, keel_class(n)), f"per type, n = {n}"
 
 
 @pytest.mark.parametrize("group, top", CASES, ids=IDS)
