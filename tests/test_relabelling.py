@@ -52,10 +52,9 @@ def test_relabelled_table_gives_the_same_output(drawn, capsys, tmp_path):
     for a, row in enumerate(group.table):
         for b, ab in enumerate(row):
             relabelled[perm[a]][perm[b]] = perm[ab]
-    files = []
-    for name, table in (("given", group.table), ("relabelled", relabelled)):
-        files.append(tmp_path / f"{name}.json")
-        files[-1].write_text(json.dumps({"cayley": [list(row) for row in table]}))
+    files = [tmp_path / "given.json", tmp_path / "relabelled.json"]
+    for path, table in zip(files, (group.table, relabelled)):
+        path.write_text(json.dumps({"cayley": [list(row) for row in table]}))
     for command in (["class", "--with-verification"], ["verify", "--all-props"]):
         given_out, relabelled_out = (
             _stdout(capsys, *command, "--group-file", str(f), "--n", str(n)) for f in files
