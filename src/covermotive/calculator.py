@@ -93,9 +93,8 @@ class VerificationReport:
 class Calculator:
     """Shared tables for one abelian group: sweeps, tails, recursion terms.
 
-    The degree is bounded by profile_counts' fixed stable tree cap; the
-    command line reads these methods directly and refuses a degree above its
-    own, possibly lowered, cap before it builds a Calculator.
+    It computes any degree it is asked; the command line checks the marking
+    and stable tree caps before it builds a Calculator.
     """
 
     def __init__(self, group: FiniteGroup):

@@ -45,9 +45,9 @@ from pathlib import Path
 from .calculator import Calculator
 from .errors import InexactDivision, MalformedSpec, NotAGroup, SizeLimit, UnsupportedNonabelian
 from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
-from .hurwitz import DEFAULT_TUPLE_CAP, braid_orbits, enumerate_hurwitz
+from .hurwitz import braid_orbits, enumerate_hurwitz
 from .motives import format_poly, monomial, to_poincare
-from .trees import DEFAULT_MARKING_CAP, STABLE_TREE_CAP, profile_counts
+from .trees import profile_counts
 
 SCHEMA_VERSION = 1
 
@@ -64,6 +64,11 @@ def integer(text: str) -> int:
     if not re.fullmatch("-?[0-9]+", text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+STABLE_TREE_CAP = 9
+DEFAULT_MARKING_CAP = 2_000_000
+DEFAULT_TUPLE_CAP = 10**8
 
 
 def _cap_override(default: int) -> int:
@@ -325,7 +330,7 @@ def cmd_hurwitz(args) -> int:
     # The last entry is forced by the first n - 1, so the count needs no list.
     print(f"product-one tuples for {group.name}, n = {args.n}: {group.order ** (args.n - 1)}")
     if args.orbits:
-        vectors = enumerate_hurwitz(group, args.n, cap=cap)
+        vectors = enumerate_hurwitz(group, args.n)
         orbits = braid_orbits(group, vectors, mod_conjugation=args.mod_conj)
         print(f"braid orbits{' mod conjugation' if args.mod_conj else ''}: {len(orbits)}")
         print("orbit,size,representative")

@@ -27,7 +27,7 @@ class NotAGroup(CoverMotiveError):
 
 
 class SizeLimit(CoverMotiveError):
-    """A tree, marking or tuple enumeration would exceed its configured cap."""
+    """A tree, marking or tuple count exceeds a cap that only the command line checks."""
 
 
 class UnsupportedNonabelian(CoverMotiveError):

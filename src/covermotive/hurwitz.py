@@ -26,26 +26,17 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import SizeLimit
 from .groups import FiniteGroup, conjugacy_classes
 
-DEFAULT_TUPLE_CAP = 10**8
 
-
-def enumerate_hurwitz(
-    group: FiniteGroup, n: int, cap: int = DEFAULT_TUPLE_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_hurwitz(group: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     """All product-one n-tuples, lexicographically ordered.
 
-    The last entry is forced by the first n - 1, so the work is bounded by
-    order^(n-1), which must stay within the cap.
+    The last entry is forced by the first n - 1, so there are order^(n-1);
+    the command line bounds that count before it calls this.
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
-    # The power is clamped as in the CLI: order ** cap.bit_length() > cap
-    # whenever order > 1, so the decision is the same without a huge integer.
-    if group.order ** min(n - 1, cap.bit_length()) > cap:
-        raise SizeLimit(f"{group.order}^{n - 1} exceeds cap {cap}")
     table, inverse = group.table, group.inverse
     out = []
     for prefix in itertools.product(range(group.order), repeat=n - 1):
@@ -108,21 +99,16 @@ def braid_orbits(
     return orbits
 
 
-def nielsen_count(group: FiniteGroup, classes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
+def nielsen_count(group: FiniteGroup, classes: Sequence[int]) -> int:
     """Number of product-one tuples with the given per-entry conjugacy classes.
 
     For an abelian group this is 1 when the classes sum to the identity and 0
-    otherwise; in general it is a genuine count.
+    otherwise; in general it is a genuine count.  It tries every choice of
+    members of all but the last class, and takes no cap.
     """
-    conj = conjugacy_classes(group)
-    n = len(classes)
-    if n < 1:
+    if not classes:
         raise ValueError("need at least one class")
-    work = 1
-    for c in classes[:-1]:
-        work *= conj.sizes[c]
-        if work > cap:
-            raise SizeLimit(f"class-tuple enumeration exceeds cap {cap}")
+    conj = conjugacy_classes(group)
     count = 0
     for prefix in itertools.product(*(conj.members[c] for c in classes[:-1])):
         acc = group.identity

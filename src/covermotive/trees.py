@@ -40,12 +40,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SizeLimit, UnsupportedNonabelian
+from .errors import UnsupportedNonabelian
 from .groups import FiniteGroup, class_involution, conjugacy_classes
 from .motives import MotivePoly, class_m0n
-
-STABLE_TREE_CAP = 9
-DEFAULT_MARKING_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -213,12 +210,10 @@ def _tree_from_family(n: int, family: tuple[frozenset, ...]) -> NTree:
     return NTree(Tree(tuple(j), tuple(vertex_of)), tuple(labels))
 
 
-def enumerate_stable_trees(n: int, cap: int = STABLE_TREE_CAP) -> list[NTree]:
+def enumerate_stable_trees(n: int) -> list[NTree]:
     """One representative per isomorphism class of stable n-trees, in a fixed order."""
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
-    if n > cap:
-        raise SizeLimit(f"n = {n} exceeds stable tree cap {cap}")
     families = sorted(
         _laminar_families(n),
         key=lambda fam: (len(fam), tuple(sorted(tuple(sorted(s)) for s in fam))),
@@ -226,13 +221,11 @@ def enumerate_stable_trees(n: int, cap: int = STABLE_TREE_CAP) -> list[NTree]:
     return [_tree_from_family(n, fam) for fam in families]
 
 
-def profile_counts(n: int, cap: int = STABLE_TREE_CAP) -> Counter[tuple[int, ...]]:
+def profile_counts(n: int) -> Counter[tuple[int, ...]]:
     """How many stable n-trees have each sorted valence profile, built leaf by
     leaf through the forgetful map (module docstring); the totals are A000311."""
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
-    if n > cap:
-        raise SizeLimit(f"n = {n} exceeds stable tree cap {cap}")
     counts = Counter({(3,): 1})
     for leaves in range(3, n):  # add leaf number leaves + 1
         grown: Counter[tuple[int, ...]] = Counter()
@@ -244,9 +237,7 @@ def profile_counts(n: int, cap: int = STABLE_TREE_CAP) -> Counter[tuple[int, ...
     return counts
 
 
-def gerby_markings(
-    nt: NTree, group: FiniteGroup, cap: int = DEFAULT_MARKING_CAP
-) -> list[GerbyTree]:
+def gerby_markings(nt: NTree, group: FiniteGroup) -> list[GerbyTree]:
     """Every marking of the tree by conjugacy classes, in a fixed order.
 
     Free choices are one class per leaf and one class per edge; the partner
@@ -256,9 +247,6 @@ def gerby_markings(
     iota = class_involution(group)
     leaves = nt.tree.leaves()
     edges = nt.tree.edges()
-    count = conj.count ** (len(leaves) + len(edges))
-    if count > cap:
-        raise SizeLimit(f"{count} markings exceed cap {cap}")
     out = []
     for choice in itertools.product(range(conj.count), repeat=len(leaves) + len(edges)):
         marks = [0] * nt.tree.flag_count

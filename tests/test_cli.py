@@ -352,6 +352,15 @@ REFUSALS = {
     "hurwitz-orbits-cap": (
         "COVERMOTIVE_CAP=100 hurwitz --group cyclic:2 --n 4 --orbits", 3, "= 6 for orbits, exceed"
     ),
+    # A base above 1 to a huge power: the checks clamp the exponent, so they
+    # refuse at once instead of building the power as an integer.
+    "class-clamped-power": (
+        "class --group cyclic:3 --n 30000000", 3, "3^30000000 class tuples exceed marking cap"
+    ),
+    "hurwitz-clamped-power": (
+        "hurwitz --group cyclic:3 --n 30000000", 3,
+        "3^29999999 tuples of length 30000000 exceed tuple cap",
+    ),
     "marking-cap-env": ("COVERMOTIVE_CAP=16 class --group cyclic:2 --n 5", 3, "marking cap 16"),
     "tree-cap-env": ("COVERMOTIVE_CAP=4 trees --n 5", 3, "n = 5 exceeds stable tree cap 4"),
     "cap-env-not-a-number": ("COVERMOTIVE_CAP=x trees --n 4", 2, "must be an integer"),

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 
 import pytest
 
-from covermotive.errors import SizeLimit
 from covermotive.groups import (
     build_cyclic,
     build_dihedral,
@@ -61,16 +59,6 @@ def test_enumeration_guards():
     s3 = build_symmetric(3)
     with pytest.raises(ValueError):
         enumerate_hurwitz(s3, 0)
-    with pytest.raises(SizeLimit):
-        enumerate_hurwitz(s3, 6, cap=100)
-
-
-def test_enumeration_guard_refuses_large_degree_at_once():
-    # The cap check must not build order^(n-1) as an integer first.
-    start = time.perf_counter()
-    with pytest.raises(SizeLimit, match=r"^3\^29999999 exceeds cap 10$"):
-        enumerate_hurwitz(build_cyclic(3), 3 * 10**7, cap=10)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_braid_generator_preserves_invariants():
@@ -334,5 +322,3 @@ def test_nielsen_count_guards():
     s3 = build_symmetric(3)
     with pytest.raises(ValueError):
         nielsen_count(s3, ())
-    with pytest.raises(SizeLimit):
-        nielsen_count(s3, (1,) * 12, cap=100)

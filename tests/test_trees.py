@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from covermotive.errors import SizeLimit, UnsupportedNonabelian
+from covermotive.errors import UnsupportedNonabelian
 from covermotive.groups import (
     build_cyclic,
     build_product_cyclic,
@@ -129,10 +129,6 @@ def test_enumeration_guards():
     for count in (enumerate_stable_trees, profile_counts):
         with pytest.raises(ValueError):
             count(2)
-        with pytest.raises(SizeLimit):
-            count(10)
-        with pytest.raises(SizeLimit):
-            count(5, cap=4)
 
 
 def test_profile_counts_match_enumeration():
@@ -148,13 +144,13 @@ def test_profile_counts_match_enumeration():
 def test_profile_counts_match_closed_form():
     assert closed_form_profile_counts(4) == {(4,): 1, (3, 3): 3}
     for n in range(3, 13):
-        assert profile_counts(n, cap=12) == closed_form_profile_counts(n), n
+        assert profile_counts(n) == closed_form_profile_counts(n), n
 
 
 def test_profile_counts_sum_to_a000311():
     # OEIS A000311: stable trees with n labeled leaves, n = 3..12.
     want = [1, 4, 26, 236, 2752, 39208, 660032, 12818912, 282137824, 6939897856]
-    assert [sum(profile_counts(n, cap=12).values()) for n in range(3, 13)] == want
+    assert [sum(profile_counts(n).values()) for n in range(3, 13)] == want
 
 
 def test_gerby_markings_counts():
@@ -163,8 +159,6 @@ def test_gerby_markings_counts():
     assert len(gerby_markings(_caterpillar4(), z2)) == 32
     z3 = build_cyclic(3)
     assert len(gerby_markings(STAR4, z3)) == 81
-    with pytest.raises(SizeLimit):
-        gerby_markings(_caterpillar4(), z3, cap=100)
 
 
 def test_gerby_markings_edge_pairing():
