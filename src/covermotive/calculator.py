@@ -41,7 +41,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import MalformedSpec, UnsupportedNonabelian
-from .groups import FiniteGroup, class_involution, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes
 from .hurwitz import nielsen_count
 from .motives import ZERO, MotivePoly, class_m0n
 from .smodules import (
@@ -105,7 +105,7 @@ class Calculator:
             )
         self.group = group
         self.conj = conjugacy_classes(group)
-        self.iota = class_involution(group)
+        self.iota = self.conj.involution.__getitem__
         self._sweeps: dict[int, StrataSweep] = {}
         self._terms: dict[int, tuple] = {}
 
@@ -203,7 +203,7 @@ class Calculator:
 
     def dbar_module(self, n: int) -> SModClass:
         """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
-        return shift_root(self.bbar_module(n - 1), self.group)
+        return shift_root(self.bbar_module(n - 1), self.conj.involution)
 
     def _term_atoms(self, n: int) -> tuple[tuple[Atom, ...], tuple[Atom, ...], list[Atom]]:
         """Degree-n atoms of the three recursion terms: slots, edge unit, ordered pairs.
@@ -220,8 +220,8 @@ class Calculator:
             for atom in day_convolve(tails[c], tails[self.iota(c)], {n}).part(n)
         ]
         return (
-            compose(self.open_module(n), unit_i1(self.group).union(dbar), {n}).part(n),
-            compose(unit_i2(self.group), dbar, {n}).part(n),
+            compose(self.open_module(n), unit_i1(count).union(dbar), {n}).part(n),
+            compose(unit_i2(self.conj.involution), dbar, {n}).part(n),
             pairs,
         )
 

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .calculator import Calculator
 from .errors import InexactDivision, MalformedSpec, NotAGroup, SizeLimit, UnsupportedNonabelian
-from .groups import FiniteGroup, build_group, class_involution, class_order, conjugacy_classes
+from .groups import FiniteGroup, build_group, class_order, conjugacy_classes
 from .hurwitz import braid_orbits, enumerate_hurwitz
 from .motives import format_poly, monomial, to_poincare
 from .trees import profile_counts
@@ -122,7 +122,6 @@ def _poly_payload(p) -> list[str]:
 def cmd_group(args) -> int:
     group = _load_group(args)
     conj = conjugacy_classes(group)
-    iota = class_involution(group)
     if args.format == "json":
         payload = {
             "schema": SCHEMA_VERSION,
@@ -132,7 +131,7 @@ def cmd_group(args) -> int:
             "class_count": conj.count,
             "class_sizes": list(conj.sizes),
             "class_orders": [class_order(group, c) for c in range(conj.count)],
-            "involution": list(iota.mapping),
+            "involution": list(conj.involution),
         }
         sys.stdout.write(_json_dumps(payload))
     else:
@@ -141,7 +140,7 @@ def cmd_group(args) -> int:
         print(f"conjugacy classes: {conj.count}")
         for c in range(conj.count):
             print(f"  class {c}: size {conj.sizes[c]}, element order "
-                  f"{class_order(group, c)}, inverse class {iota(c)}")
+                  f"{class_order(group, c)}, inverse class {conj.involution[c]}")
     return 0
 
 

@@ -7,10 +7,10 @@ construction path runs the same axiom checks, so a FiniteGroup in hand is
 always a group.
 
 Conjugacy classes get dense ids assigned in order of their smallest element
-index, which makes every downstream enumeration deterministic.  The class
-involution sends the class of g to the class of g^{-1}; it is the shadow on
-classes of inverting a root of unity, and it is what pairs up the two flags
-of an edge in a marked tree.
+index, which makes every downstream enumeration deterministic.  The
+conjugacy table also holds the class involution, which sends the class of g
+to the class of g^{-1}; it is the shadow on classes of inverting a root of
+unity, and it is what pairs up the two flags of an edge in a marked tree.
 """
 
 from __future__ import annotations
@@ -58,18 +58,11 @@ class ConjugacyTable:
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]  # each class's elements, ascending
+    involution: tuple[int, ...]  # involution[c]: the class of the inverses of class c
 
     @property
     def count(self) -> int:
         return len(self.representatives)
-
-
-@dataclass(frozen=True)
-class ClassInvolution:
-    mapping: tuple[int, ...]
-
-    def __call__(self, c: int) -> int:
-        return self.mapping[c]
 
 
 def _generators(table: list[list[int]], identity: int) -> list[int]:
@@ -176,10 +169,11 @@ def build_product_cyclic(ks: list[int]) -> FiniteGroup:
     for k in ks:  # stop at the first partial product past the cap, as build_symmetric does
         order *= k
         _check_order(order)
-    strides = [math.prod(ks[:i]) for i in range(len(ks))]
-    digits = [[i // s % k for s, k in zip(strides, ks)] for i in range(order)]
+    big = [k for k in ks if k > 1]  # a factor of 1 adds a digit that is always 0
+    strides = [math.prod(big[:i]) for i in range(len(big))]
+    digits = [[i // s % k for s, k in zip(strides, big)] for i in range(order)]
     table = [
-        [sum((x + y) % k * s for x, y, k, s in zip(da, db, ks, strides)) for db in digits]
+        [sum((x + y) % k * s for x, y, k, s in zip(da, db, big, strides)) for db in digits]
         for da in digits
     ]
     return _validate_table(table, "x".join(f"C{k}" for k in ks))
@@ -309,7 +303,7 @@ def build_group(spec: dict) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyTable:
-    """Partition elements into conjugacy classes.
+    """Partition elements into conjugacy classes, with the class involution.
 
     Class ids are assigned in order of the smallest element index they
     contain, and the representative of a class is that smallest element.
@@ -328,14 +322,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyTable:
         reps.append(g)
         members.append(tuple(sorted(conjugates)))
     sizes = tuple(map(len, members))
-    return ConjugacyTable(tuple(class_of), tuple(reps), sizes, tuple(members))
-
-
-@lru_cache(maxsize=None)
-def class_involution(group: FiniteGroup) -> ClassInvolution:
-    """The involution sending the class of g to the class of g^{-1}."""
-    conj = conjugacy_classes(group)
-    return ClassInvolution(tuple(conj.class_of[group.inv(rep)] for rep in conj.representatives))
+    involution = tuple(class_of[group.inv(rep)] for rep in reps)
+    return ConjugacyTable(tuple(class_of), tuple(reps), sizes, tuple(members), involution)
 
 
 def class_order(group: FiniteGroup, c: int) -> int:

@@ -10,10 +10,10 @@ of that type.  Read as the multisort exponential generating function
 sum_u c_u x^u/u! (Bergeron-Labelle-Leroux 1998; Getzler 1995 for
 composition as plethysm):
 
-* unit_i1 / unit_i2: the one- and two-slot units; the degree-2 unit pairs a
-  class with its inverse class.
-* shift_root: drop the last evaluation and re-expose it, through the
-  inversion involution, as the root attachment.
+* unit_i1 / unit_i2: the one- and two-slot units, from the class count and
+  the class involution iota; the degree-2 unit pairs c with iota[c].
+* shift_root: drop the last evaluation and re-expose it, through iota, as
+  the root attachment.
 * day_convolve: the EGF product.  A tuple of type w splits between factors
   of types u and w - u in prod_b C(w_b, u_b) ways, where w_b counts the
   entries b of w; only the classes b that both factors hold give a factor
@@ -25,7 +25,9 @@ composition as plethysm):
 
 Products are truncated at the wanted degree and bucketed by degree, in
 integers: each division by k must be exact, or it raises InexactDivision.
-No tuple-indexed data enters: the stratification classes arrive per type.
+No group and no tuple-indexed data enter: the class data arrive as the class
+count and iota (a tuple, iota[c] the class of the inverses of class c), and
+the stratification classes per type.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from math import comb, factorial, prod
 from typing import Container, Iterable
 
 from .errors import InexactDivision
-from .groups import FiniteGroup, class_involution, conjugacy_classes
 from .motives import ONE, MotivePoly
 
 Series = dict[int, dict[tuple[int, ...], MotivePoly]]  # degree -> type -> class per tuple
@@ -124,27 +125,24 @@ class SModClass:
         return f"SModClass({self.atoms()!r})"
 
 
-def unit_i1(group: FiniteGroup) -> SModClass:
+def unit_i1(count: int) -> SModClass:
     """Degree-1 unit: one generator per class, attached at that class."""
-    return SModClass(Atom((c,), (c,), ONE) for c in range(conjugacy_classes(group).count))
+    return SModClass(Atom((c,), (c,), ONE) for c in range(count))
 
 
-def unit_i2(group: FiniteGroup) -> SModClass:
-    """Degree-2 unit: per class c, evaluations (c, iota(c)), trivial class.
+def unit_i2(iota: tuple[int, ...]) -> SModClass:
+    """Degree-2 unit: per class c, evaluations (c, iota[c]), trivial class.
 
     Its slot swap acts by exchanging the evaluations and applying the
     inversion involution, which permutes these generators among themselves.
-    (iota(c), c) is of the same type, so each type is taken once, at c <= iota(c).
+    (iota[c], c) is of the same type, so each type is taken once, at c <= iota[c].
     """
-    iota = class_involution(group)
-    classes = range(conjugacy_classes(group).count)
-    return SModClass(Atom((c, iota(c)), (), ONE) for c in classes if c <= iota(c))
+    return SModClass(Atom((c, i), (), ONE) for c, i in enumerate(iota) if c <= i)
 
 
-def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
+def shift_root(x: SModClass, iota: tuple[int, ...]) -> SModClass:
     """Drop the last evaluation, re-exposing it through inversion as the root:
-    the tuples of type w ending in b become w less one b, rooted at iota(b)."""
-    iota = class_involution(group)
+    the tuples of type w ending in b become w less one b, rooted at iota[b]."""
     out = []
     for a in x.atoms():
         if a.degree == 0:
@@ -153,7 +151,7 @@ def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
             raise ValueError("generator already carries a root attachment")
         t = a.classes
         out.extend(
-            Atom(t[:i] + t[i + 1 :], (iota(b),), a.cls)
+            Atom(t[:i] + t[i + 1 :], (iota[b],), a.cls)
             for i, b in enumerate(t)
             if i == 0 or t[i - 1] != b
         )

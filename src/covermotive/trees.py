@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UnsupportedNonabelian
-from .groups import FiniteGroup, class_involution, conjugacy_classes
+from .groups import FiniteGroup, conjugacy_classes
 from .motives import MotivePoly, class_m0n
 
 
@@ -244,7 +244,6 @@ def gerby_markings(nt: NTree, group: FiniteGroup) -> list[GerbyTree]:
     flag of an edge is forced through the inversion involution.
     """
     conj = conjugacy_classes(group)
-    iota = class_involution(group)
     leaves = nt.tree.leaves()
     edges = nt.tree.edges()
     out = []
@@ -254,7 +253,7 @@ def gerby_markings(nt: NTree, group: FiniteGroup) -> list[GerbyTree]:
             marks[f] = c
         for (a, b), c in zip(edges, choice[len(leaves) :]):
             marks[a] = c
-            marks[b] = iota(c)
+            marks[b] = conj.involution[c]
         out.append(GerbyTree(nt, tuple(marks)))
     return out
 

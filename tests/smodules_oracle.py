@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from covermotive.errors import InexactDivision
-from covermotive.groups import FiniteGroup, class_involution, conjugacy_classes
+from covermotive.groups import FiniteGroup, conjugacy_classes
 from covermotive.motives import ONE, MotivePoly
 
 
@@ -102,21 +102,20 @@ def unit_i2(group: FiniteGroup) -> SModClass:
     Its slot swap acts by exchanging the evaluations and applying the
     inversion involution, which permutes these generators among themselves.
     """
-    conj = conjugacy_classes(group)
-    iota = class_involution(group)
-    return SModClass(Atom((c, iota(c)), (), ONE) for c in range(conj.count))
+    iota = conjugacy_classes(group).involution
+    return SModClass(Atom((c, iota[c]), (), ONE) for c in range(len(iota)))
 
 
 def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
     """Drop the last evaluation, re-exposing it through inversion as the root."""
-    iota = class_involution(group)
+    iota = conjugacy_classes(group).involution
     out = []
     for a in x.atoms():
         if a.degree == 0:
             raise ValueError("degree-0 generator has no evaluation to re-expose")
         if a.attach:
             raise ValueError("generator already carries a root attachment")
-        out.append(Atom(a.evals[:-1], (iota(a.evals[-1]),), a.cls, a.weight))
+        out.append(Atom(a.evals[:-1], (iota[a.evals[-1]],), a.cls, a.weight))
     return SModClass(out)
 
 
@@ -270,7 +269,7 @@ def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
         for cvec, cls in calc.per_marking(k).items()
     )
     dbar = shift_root(bbar, group)
-    iota = class_involution(group)
+    iota = conjugacy_classes(group).involution
     tails: dict[tuple[int, ...], list[Atom]] = {}
     for a in dbar.atoms():
         tails.setdefault(a.attach, []).append(a)
@@ -278,7 +277,7 @@ def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
         atom
         for c in range(count)
         for atom in day_convolve(
-            SModClass(tails.get((c,), ())), SModClass(tails.get((iota(c),), ())), {n}
+            SModClass(tails.get((c,), ())), SModClass(tails.get((iota[c],), ())), {n}
         ).part(n)
     ]
     terms = (

@@ -203,8 +203,17 @@ def test_verify_all_props_reports_a_broken_flag_count(capsys, monkeypatch):
 def test_verify_names_a_type_that_the_totals_hide(capsys, monkeypatch):
     # Rooting every tail at its own class instead of the inverse class moves
     # classes between types and keeps every total, so only the per-type
-    # comparison sees it.
-    monkeypatch.setattr(smodules, "class_involution", lambda group: lambda c: c)
+    # comparison sees it.  The edge unit pairs each class with itself too;
+    # the ordered pairs still read the true involution.
+    import covermotive.calculator as calculator
+
+    def fixed(iota):
+        return tuple(range(len(iota)))
+
+    monkeypatch.setattr(calculator, "unit_i2", lambda iota: smodules.unit_i2(fixed(iota)))
+    monkeypatch.setattr(
+        calculator, "shift_root", lambda x, iota: smodules.shift_root(x, fixed(iota))
+    )
     code, out, _ = _run(capsys, "verify", "--group", "cyclic:3", "--n", "5", "--all-props")
     assert code == 1
     lines = out.splitlines()
@@ -221,7 +230,7 @@ def test_verify_names_a_type_that_the_totals_hide(capsys, monkeypatch):
 def test_verify_names_a_type_when_a_total_differs(capsys, monkeypatch):
     import covermotive.calculator as calculator
 
-    monkeypatch.setattr(calculator, "unit_i2", lambda group: smodules.SModClass())
+    monkeypatch.setattr(calculator, "unit_i2", lambda iota: smodules.SModClass())
     code, out, _ = _run(capsys, "verify", "--group", "cyclic:3", "--n", "5")
     assert code == 1
     assert out.splitlines()[4:] == [

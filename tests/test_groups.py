@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -16,7 +17,6 @@ from covermotive.groups import (
     build_group,
     build_product_cyclic,
     build_symmetric,
-    class_involution,
     class_order,
     conjugacy_classes,
 )
@@ -45,6 +45,17 @@ def test_product_cyclic_klein_four():
     assert all(g.element_order(a) == 2 for a in range(1, 4))
 
 
+def test_product_cyclic_skips_trivial_factors():
+    # A factor of 1 adds no digit, so a long list of them costs only its length.
+    start = time.perf_counter()
+    g = build_product_cyclic([1] * 100_000 + [5])
+    assert time.perf_counter() - start < 1
+    assert g.table == build_cyclic(5).table
+    h = build_product_cyclic([2, 1, 3])
+    assert h.name == "C2xC1xC3"
+    assert h.table == build_product_cyclic([2, 3]).table
+
+
 def test_dihedral():
     g = build_dihedral(4)
     assert g.order == 8
@@ -63,8 +74,7 @@ def test_symmetric_conjugacy_data():
     assert conj.sizes == (1, 3, 2)
     assert [class_order(s3, c) for c in range(conj.count)] == [1, 2, 3]
     # Every class of S3 contains the inverses of its members.
-    iota = class_involution(s3)
-    assert iota.mapping == (0, 1, 2)
+    assert conj.involution == (0, 1, 2)
 
     s4 = build_symmetric(4)
     conj4 = conjugacy_classes(s4)
@@ -87,15 +97,21 @@ def test_class_ids_ordered_by_smallest_element():
 
 
 def test_involution_pairs_inverse_classes():
-    g = build_cyclic(5)
-    conj = conjugacy_classes(g)
-    iota = class_involution(g)
-    for c in range(conj.count):
-        assert iota(iota(c)) == c
-        rep = conj.representatives[c]
-        assert conj.class_of[g.inv(rep)] == iota(c)
+    c5 = build_cyclic(5)
+    a4 = build_from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]])
+    for g in (c5, a4):
+        conj = conjugacy_classes(g)
+        iota = conj.involution
+        for c in range(conj.count):
+            assert iota[iota[c]] == c
+            for m in conj.members[c]:
+                assert conj.class_of[g.inv(m)] == iota[c]
     # C5: classes are singletons {a}, inverse pairing is a <-> 5 - a.
-    assert iota.mapping == (0, 4, 3, 2, 1)
+    assert conjugacy_classes(c5).involution == (0, 4, 3, 2, 1)
+    # A4: the two classes of 3-cycles are each other's inverses.
+    assert not a4.is_abelian()
+    assert conjugacy_classes(a4).sizes == (1, 4, 4, 3)
+    assert conjugacy_classes(a4).involution == (0, 2, 1, 3)
 
 
 def test_conjugation_invariance_of_class_map():

@@ -44,6 +44,10 @@ V4 = build_product_cyclic([2, 2])
 Q = MotivePoly((0, 1))
 
 
+def _iota(group) -> tuple[int, ...]:
+    return conjugacy_classes(group).involution
+
+
 def test_forget_class_sums_weighted():
     # Type (0, 0) has one tuple of class q; type (0, 1) has two of class 1.
     x = sm.SModClass([sm.Atom((0, 0), (), Q), sm.Atom((0, 1), (), ONE)])
@@ -97,28 +101,29 @@ def test_type_smodclass_normalizes():
 
 def test_type_units():
     z3 = build_cyclic(3)
-    assert sm.unit_i1(z3) == sm.SModClass(sm.Atom((c,), (c,), ONE) for c in range(3))
+    assert sm.unit_i1(3) == sm.SModClass(sm.Atom((c,), (c,), ONE) for c in range(3))
     # (1, 2) and (2, 1) are the two tuples of one type.
-    assert sm.unit_i2(z3).part(2) == (sm.Atom((0, 0), (), ONE), sm.Atom((1, 2), (), ONE))
-    assert _as_tuples(sm.unit_i2(z3)) == unit_i2(z3)
+    assert sm.unit_i2(_iota(z3)).part(2) == (sm.Atom((0, 0), (), ONE), sm.Atom((1, 2), (), ONE))
+    assert _as_tuples(sm.unit_i2(_iota(z3))) == unit_i2(z3)
 
 
 def test_type_shift_root():
     for group in (build_cyclic(1), Z2, Z3, V4):
-        assert sm.shift_root(sm.unit_i2(group), group) == sm.unit_i1(group)
+        iota = _iota(group)
+        assert sm.shift_root(sm.unit_i2(iota), iota) == sm.unit_i1(len(iota))
     # Type (0, 1) over C3: dropping the 0 roots the rest at 0, dropping the 1 at 2.
     x = sm.SModClass([sm.Atom((0, 1), (), Q)])
-    assert sm.shift_root(x, Z3).atoms() == [sm.Atom((0,), (2,), Q), sm.Atom((1,), (0,), Q)]
+    assert sm.shift_root(x, _iota(Z3)).atoms() == [sm.Atom((0,), (2,), Q), sm.Atom((1,), (0,), Q)]
     # A run of one class drops once: (1, 1, 1, 2) over C5 gives two rooted types.
     y = sm.SModClass([sm.Atom((1, 1, 1, 2), (), Q)])
-    assert sm.shift_root(y, C5).atoms() == [
+    assert sm.shift_root(y, _iota(C5)).atoms() == [
         sm.Atom((1, 1, 1), (3,), Q),
         sm.Atom((1, 1, 2), (4,), Q),
     ]
     with pytest.raises(ValueError, match="no evaluation to re-expose"):
-        sm.shift_root(sm.SModClass([sm.Atom((), (), ONE)]), Z2)
+        sm.shift_root(sm.SModClass([sm.Atom((), (), ONE)]), _iota(Z2))
     with pytest.raises(ValueError):
-        sm.shift_root(sm.unit_i1(Z2), Z2)
+        sm.shift_root(sm.unit_i1(2), _iota(Z2))
 
 
 def test_type_day_convolve_binomials():
@@ -156,10 +161,11 @@ def test_type_engine_matches_tuple_oracle():
 def test_type_compose_units():
     rng = random.Random(3)
     for group in (Z2, Z3, V4):
-        w = _random_type_module(rng, conjugacy_classes(group).count)
+        count = conjugacy_classes(group).count
+        w = _random_type_module(rng, count)
         degrees = set(w.degrees())
-        assert sm.compose(sm.unit_i1(group), w, degrees) == w
-        assert sm.compose(w, sm.unit_i1(group), degrees) == w
+        assert sm.compose(sm.unit_i1(count), w, degrees) == w
+        assert sm.compose(w, sm.unit_i1(count), degrees) == w
 
 
 def test_type_compose_associativity_randomized():
@@ -184,16 +190,16 @@ def test_type_compose_interchange_with_day_convolution():
 
 
 def test_type_compose_edge_cases():
-    x = sm.unit_i2(Z2)
+    x = sm.unit_i2(_iota(Z2))
     with pytest.raises(ValueError, match="lack a root attachment"):
         sm.compose(x, sm.SModClass([sm.Atom((0,), (), ONE)]), {2})
     with pytest.raises(ValueError, match="empty degree-0 part"):
         sm.compose(x, sm.SModClass([sm.Atom((), (0,), ONE)]), {2})
-    assert sm.compose(x, sm.unit_i1(Z2), set()) == sm.SModClass()
-    assert sm.compose(sm.SModClass(), sm.unit_i1(Z2), {1}) == sm.SModClass()
+    assert sm.compose(x, sm.unit_i1(2), set()) == sm.SModClass()
+    assert sm.compose(sm.SModClass(), sm.unit_i1(2), {1}) == sm.SModClass()
     assert sm.compose(x, sm.SModClass(), {2}) == sm.SModClass()
     constant = sm.SModClass([sm.Atom((), (), Q)])
-    assert sm.compose(constant, sm.unit_i1(Z2), {0}) == constant
+    assert sm.compose(constant, sm.unit_i1(2), {0}) == constant
 
 
 def test_division_check_rejects_a_remainder():
@@ -206,19 +212,19 @@ def test_division_check_catches_a_product_without_binomials(monkeypatch):
     # With every binomial read as 1, x_0 * x_0 gives the tuple (0, 0) class 1
     # instead of 2, and halving it for the divided square is inexact.
     outer = sm.SModClass([sm.Atom((0, 0), (), ONE)])
-    assert sm.compose(outer, sm.unit_i1(Z2), {2}) == outer
+    assert sm.compose(outer, sm.unit_i1(2), {2}) == outer
     monkeypatch.setattr(sm, "comb", lambda n, k: 1)
     with pytest.raises(InexactDivision):
-        sm.compose(outer, sm.unit_i1(Z2), {2})
+        sm.compose(outer, sm.unit_i1(2), {2})
 
 
 def test_type_freeness_counter_counts_divisions():
     before = sm.stats.freeness_checks
     # One divided square, with one coefficient: x_0^2 / 2.
-    sm.compose(sm.SModClass([sm.Atom((0, 0), (), ONE)]), sm.unit_i1(Z2), {2})
+    sm.compose(sm.SModClass([sm.Atom((0, 0), (), ONE)]), sm.unit_i1(2), {2})
     assert sm.stats.freeness_checks == before + 1
     # A square-free outer type divides nothing.
-    sm.compose(sm.SModClass([sm.Atom((0, 1), (), ONE)]), sm.unit_i1(Z2), {2})
+    sm.compose(sm.SModClass([sm.Atom((0, 1), (), ONE)]), sm.unit_i1(2), {2})
     assert sm.stats.freeness_checks == before + 1
 
 

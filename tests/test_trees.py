@@ -11,7 +11,7 @@ from covermotive.groups import (
     build_cyclic,
     build_product_cyclic,
     build_symmetric,
-    class_involution,
+    conjugacy_classes,
 )
 from covermotive.motives import ONE, ZERO, MotivePoly
 from covermotive.trees import (
@@ -163,10 +163,10 @@ def test_gerby_markings_counts():
 
 def test_gerby_markings_edge_pairing():
     z3 = build_cyclic(3)
-    iota = class_involution(z3)
+    iota = conjugacy_classes(z3).involution
     for gt in gerby_markings(_caterpillar4(), z3):
         for a, b in gt.ntree.tree.edges():
-            assert gt.marks[a] == iota(gt.marks[b])
+            assert gt.marks[a] == iota[gt.marks[b]]
 
 
 def test_admissibility_z2_star():
