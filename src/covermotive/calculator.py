@@ -41,7 +41,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import MalformedSpec, UnsupportedNonabelian
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup
 from .hurwitz import nielsen_count
 from .motives import ZERO, MotivePoly, class_m0n
 from .smodules import (
@@ -104,7 +104,7 @@ class Calculator:
                 f"trivialize only over abelian monodromy"
             )
         self.group = group
-        self.conj = conjugacy_classes(group)
+        self.conj = group.conj
         self.iota = self.conj.involution.__getitem__
         self._sweeps: dict[int, StrataSweep] = {}
         self._terms: dict[int, tuple] = {}

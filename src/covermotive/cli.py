@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .calculator import Calculator
 from .errors import InexactDivision, MalformedSpec, NotAGroup, SizeLimit, UnsupportedNonabelian
-from .groups import FiniteGroup, build_group, class_order, conjugacy_classes
+from .groups import FiniteGroup, build_group, class_order
 from .hurwitz import braid_orbits, enumerate_hurwitz
 from .motives import format_poly, monomial, to_poincare
 from .trees import profile_counts
@@ -121,7 +121,7 @@ def _poly_payload(p) -> list[str]:
 
 def cmd_group(args) -> int:
     group = _load_group(args)
-    conj = conjugacy_classes(group)
+    conj = group.conj
     if args.format == "json":
         payload = {
             "schema": SCHEMA_VERSION,
@@ -227,7 +227,7 @@ def _calculator(args) -> Calculator:
     """
     _require_n(args, 3)
     group = _load_group(args)
-    ncls = conjugacy_classes(group).count
+    ncls = group.conj.count
     cap = _cap_override(DEFAULT_MARKING_CAP)
     # ncls ** cap.bit_length() > cap whenever ncls > 1, so the clamped power
     # decides the same way without building a huge integer.

@@ -7,10 +7,11 @@ construction path runs the same axiom checks, so a FiniteGroup in hand is
 always a group.
 
 Conjugacy classes get dense ids assigned in order of their smallest element
-index, which makes every downstream enumeration deterministic.  The
-conjugacy table also holds the class involution, which sends the class of g
-to the class of g^{-1}; it is the shadow on classes of inverting a root of
-unity, and it is what pairs up the two flags of an edge in a marked tree.
+index, which makes every downstream enumeration deterministic.  A group
+carries its conjugacy table, ``group.conj``, computed once when the group is
+built and freed with it.  The table holds the class involution, which sends
+the class of g to the class of g^{-1}; it is the shadow on classes of
+inverting a root of unity, and it pairs up the two flags of a tree's edge.
 """
 
 from __future__ import annotations
@@ -18,12 +19,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import MalformedSpec, NotAGroup
 
 MAX_ORDER = 255
 SCHEMA = 1  # the one version of the group spec format
+
+
+@dataclass(frozen=True)
+class ConjugacyTable:
+    class_of: tuple[int, ...]
+    representatives: tuple[int, ...]
+    sizes: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]  # each class's elements, ascending
+    involution: tuple[int, ...]  # involution[c]: the class of the inverses of class c
+
+    @property
+    def count(self) -> int:
+        return len(self.representatives)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +46,7 @@ class FiniteGroup:
     identity: int
     inverse: tuple[int, ...]
     name: str
+    conj: ConjugacyTable
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -50,19 +64,6 @@ class FiniteGroup:
             x = self.table[x][a]
             k += 1
         return k
-
-
-@dataclass(frozen=True)
-class ConjugacyTable:
-    class_of: tuple[int, ...]
-    representatives: tuple[int, ...]
-    sizes: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]  # each class's elements, ascending
-    involution: tuple[int, ...]  # involution[c]: the class of the inverses of class c
-
-    @property
-    def count(self) -> int:
-        return len(self.representatives)
 
 
 def _generators(table: list[list[int]], identity: int) -> list[int]:
@@ -151,6 +152,7 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
         identity=identity,
         inverse=tuple(inverse),
         name=name,
+        conj=conjugacy_classes(table, inverse),
     )
 
 
@@ -163,10 +165,12 @@ def build_cyclic(k: int) -> FiniteGroup:
 
 
 def build_product_cyclic(ks: list[int]) -> FiniteGroup:
-    if not ks or any(k < 1 for k in ks):
-        raise MalformedSpec(f"cyclic factors must be positive, got {ks}")
+    if not ks:
+        raise MalformedSpec("product_cyclic needs at least one cyclic factor")
     order = 1
-    for k in ks:  # stop at the first partial product past the cap, as build_symmetric does
+    for i, k in enumerate(ks, 1):  # stop at the first bad factor or product past the cap
+        if k < 1:
+            raise MalformedSpec(f"cyclic factor {i} of {len(ks)} must be positive, got {k}")
         order *= k
         _check_order(order)
     big = [k for k in ks if k > 1]  # a factor of 1 adds a digit that is always 0
@@ -301,14 +305,13 @@ def build_group(spec: dict) -> FiniteGroup:
     return _ONE_PARAMETER[family](params[0])
 
 
-@lru_cache(maxsize=None)
-def conjugacy_classes(group: FiniteGroup) -> ConjugacyTable:
-    """Partition elements into conjugacy classes, with the class involution.
+def conjugacy_classes(table: list[list[int]], inverse: list[int]) -> ConjugacyTable:
+    """Partition a group table's elements into conjugacy classes, with the class involution.
 
     Class ids are assigned in order of the smallest element index they
     contain, and the representative of a class is that smallest element.
     """
-    n = group.order
+    n = len(table)
     class_of = [-1] * n
     reps: list[int] = []
     members: list[tuple[int, ...]] = []
@@ -316,17 +319,16 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyTable:
         if class_of[g] >= 0:
             continue
         cid = len(reps)
-        conjugates = {group.mul(group.mul(h, g), group.inv(h)) for h in range(n)}
+        conjugates = {table[table[h][g]][inverse[h]] for h in range(n)}
         for m in conjugates:
             class_of[m] = cid
         reps.append(g)
         members.append(tuple(sorted(conjugates)))
     sizes = tuple(map(len, members))
-    involution = tuple(class_of[group.inv(rep)] for rep in reps)
+    involution = tuple(class_of[inverse[rep]] for rep in reps)
     return ConjugacyTable(tuple(class_of), tuple(reps), sizes, tuple(members), involution)
 
 
 def class_order(group: FiniteGroup, c: int) -> int:
     """Common order of the elements in class c."""
-    conj = conjugacy_classes(group)
-    return group.element_order(conj.representatives[c])
+    return group.element_order(group.conj.representatives[c])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup
 
 
 def enumerate_hurwitz(group: FiniteGroup, n: int) -> list[tuple[int, ...]]:
@@ -108,7 +108,7 @@ def nielsen_count(group: FiniteGroup, classes: Sequence[int]) -> int:
     """
     if not classes:
         raise ValueError("need at least one class")
-    conj = conjugacy_classes(group)
+    conj = group.conj
     count = 0
     for prefix in itertools.product(*(conj.members[c] for c in classes[:-1])):
         acc = group.identity

@@ -38,10 +38,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import UnsupportedNonabelian
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup
 from .motives import MotivePoly, class_m0n
 
 
@@ -243,17 +242,16 @@ def gerby_markings(nt: NTree, group: FiniteGroup) -> list[GerbyTree]:
     Free choices are one class per leaf and one class per edge; the partner
     flag of an edge is forced through the inversion involution.
     """
-    conj = conjugacy_classes(group)
     leaves = nt.tree.leaves()
     edges = nt.tree.edges()
     out = []
-    for choice in itertools.product(range(conj.count), repeat=len(leaves) + len(edges)):
+    for choice in itertools.product(range(group.conj.count), repeat=len(leaves) + len(edges)):
         marks = [0] * nt.tree.flag_count
         for f, c in zip(leaves, choice):
             marks[f] = c
         for (a, b), c in zip(edges, choice[len(leaves) :]):
             marks[a] = c
-            marks[b] = conj.involution[c]
+            marks[b] = group.conj.involution[c]
         out.append(GerbyTree(nt, tuple(marks)))
     return out
 
@@ -265,18 +263,16 @@ def is_admissible(group: FiniteGroup, gt: GerbyTree) -> bool:
     """
     if not group.is_abelian():
         raise UnsupportedNonabelian("vertex admissibility needs an unordered product; abelian only")
-    conj = conjugacy_classes(group)
     tree = gt.ntree.tree
     for v in range(tree.vertex_count):
         acc = group.identity
         for f in tree.flags_at(v):
-            acc = group.mul(acc, conj.representatives[gt.marks[f]])
+            acc = group.mul(acc, group.conj.representatives[gt.marks[f]])
         if acc != group.identity:
             return False
     return True
 
 
-@lru_cache(maxsize=None)
 def stratum_class_of_topology(n_valences: tuple[int, ...]) -> MotivePoly:
     """Product over vertices of the marked-point moduli class, keyed by the
     valence profile."""

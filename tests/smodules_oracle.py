@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from covermotive.errors import InexactDivision
-from covermotive.groups import FiniteGroup, conjugacy_classes
+from covermotive.groups import FiniteGroup
 from covermotive.motives import ONE, MotivePoly
 
 
@@ -92,7 +92,7 @@ class SModClass:
 
 def unit_i1(group: FiniteGroup) -> SModClass:
     """Degree-1 unit: one generator per class, attached at that class."""
-    conj = conjugacy_classes(group)
+    conj = group.conj
     return SModClass(Atom((c,), (c,), ONE) for c in range(conj.count))
 
 
@@ -102,13 +102,13 @@ def unit_i2(group: FiniteGroup) -> SModClass:
     Its slot swap acts by exchanging the evaluations and applying the
     inversion involution, which permutes these generators among themselves.
     """
-    iota = conjugacy_classes(group).involution
+    iota = group.conj.involution
     return SModClass(Atom((c, iota[c]), (), ONE) for c in range(len(iota)))
 
 
 def shift_root(x: SModClass, group: FiniteGroup) -> SModClass:
     """Drop the last evaluation, re-exposing it through inversion as the root."""
-    iota = conjugacy_classes(group).involution
+    iota = group.conj.involution
     out = []
     for a in x.atoms():
         if a.degree == 0:
@@ -269,7 +269,7 @@ def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
         for cvec, cls in calc.per_marking(k).items()
     )
     dbar = shift_root(bbar, group)
-    iota = conjugacy_classes(group).involution
+    iota = group.conj.involution
     tails: dict[tuple[int, ...], list[Atom]] = {}
     for a in dbar.atoms():
         tails.setdefault(a.attach, []).append(a)

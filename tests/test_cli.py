@@ -303,6 +303,8 @@ REFUSALS = {
     "no-group": ("group", 2, "one of the arguments --group --group-file is required"),
     "group-and-group-file": ("group --group symmetric:3 --group-file FILE", 2, "not allowed with"),
     "unknown-family": ("group --group frobnicate:5", 2, "unknown builtin family 'frobnicate'"),
+    "zero-factor": ("group --group product_cyclic:2,0,3", 2, "factor 2 of 3 must be positive, got 0"),
+    "no-factor": ("group --group product_cyclic", 2, "product_cyclic needs at least one cyclic factor"),
     "bool-param": (GROUP_FILE, 2, "params must be a list of integers, got [True]",
                    '{"builtin": {"kind": "cyclic", "params": [true]}}'),
     "permutation-string": (GROUP_FILE, 2, "got [0, '1']", '{"permutations": [[0, "1"]]}'),

@@ -26,8 +26,11 @@ CASES = [
     (build_cyclic(6), 7),
     (build_cyclic(5), 8),
     (build_cyclic(13), 4),
+    # The first abelian groups neither cyclic nor elementary 2-groups.
+    (build_product_cyclic([2, 4]), 6),
+    (build_product_cyclic([3, 3]), 6),
 ]
-IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5", "C13"]
+IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5", "C13", "C2xC4", "C3xC3"]
 
 
 def _palindromic(p: MotivePoly) -> bool:

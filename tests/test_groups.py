@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
+from covermotive import Calculator
 from covermotive.errors import MalformedSpec, NotAGroup
 from covermotive.groups import (
     MAX_ORDER,
@@ -18,7 +21,6 @@ from covermotive.groups import (
     build_product_cyclic,
     build_symmetric,
     class_order,
-    conjugacy_classes,
 )
 
 
@@ -56,6 +58,28 @@ def test_product_cyclic_skips_trivial_factors():
     assert h.table == build_product_cyclic([2, 3]).table
 
 
+def test_product_cyclic_refusal_names_one_factor():
+    # The refusal names the first bad factor, so its length does not grow with the list.
+    with pytest.raises(MalformedSpec) as exc:
+        build_product_cyclic([1] * 100_000 + [0])
+    assert str(exc.value) == "cyclic factor 100001 of 100001 must be positive, got 0"
+    assert len(str(exc.value)) < 200
+    with pytest.raises(MalformedSpec, match="factor 2 of 3 must be positive, got -2"):
+        build_product_cyclic([3, -2, 0])
+
+
+def test_dropped_group_is_freed():
+    # The class table lives on the group, so no process-wide cache keeps a
+    # group alive once its last holder drops it.
+    group = build_cyclic(7)
+    assert group.conj.count == 7
+    calc = Calculator(group)
+    ref = weakref.ref(group)
+    del group, calc
+    gc.collect()
+    assert ref() is None
+
+
 def test_dihedral():
     g = build_dihedral(4)
     assert g.order == 8
@@ -63,28 +87,28 @@ def test_dihedral():
     # D2 is the Klein four group.
     assert build_dihedral(2).is_abelian()
     # D3 is S3 in disguise: class sizes 1, 2, 3.
-    assert conjugacy_classes(build_dihedral(3)).sizes == (1, 2, 3)
+    assert build_dihedral(3).conj.sizes == (1, 2, 3)
 
 
 def test_symmetric_conjugacy_data():
     s3 = build_symmetric(3)
     assert s3.order == 6
     assert not s3.is_abelian()
-    conj = conjugacy_classes(s3)
+    conj = s3.conj
     assert conj.sizes == (1, 3, 2)
     assert [class_order(s3, c) for c in range(conj.count)] == [1, 2, 3]
     # Every class of S3 contains the inverses of its members.
     assert conj.involution == (0, 1, 2)
 
     s4 = build_symmetric(4)
-    conj4 = conjugacy_classes(s4)
+    conj4 = s4.conj
     assert conj4.count == 5
     assert sorted(conj4.sizes) == [1, 3, 6, 6, 8]
     assert sum(conj4.sizes) == 24
 
 
 def test_class_ids_ordered_by_smallest_element():
-    conj = conjugacy_classes(build_symmetric(4))
+    conj = build_symmetric(4).conj
     seen = []
     for g in range(24):
         c = conj.class_of[g]
@@ -100,23 +124,23 @@ def test_involution_pairs_inverse_classes():
     c5 = build_cyclic(5)
     a4 = build_from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]])
     for g in (c5, a4):
-        conj = conjugacy_classes(g)
+        conj = g.conj
         iota = conj.involution
         for c in range(conj.count):
             assert iota[iota[c]] == c
             for m in conj.members[c]:
                 assert conj.class_of[g.inv(m)] == iota[c]
     # C5: classes are singletons {a}, inverse pairing is a <-> 5 - a.
-    assert conjugacy_classes(c5).involution == (0, 4, 3, 2, 1)
+    assert c5.conj.involution == (0, 4, 3, 2, 1)
     # A4: the two classes of 3-cycles are each other's inverses.
     assert not a4.is_abelian()
-    assert conjugacy_classes(a4).sizes == (1, 4, 4, 3)
-    assert conjugacy_classes(a4).involution == (0, 2, 1, 3)
+    assert a4.conj.sizes == (1, 4, 4, 3)
+    assert a4.conj.involution == (0, 2, 1, 3)
 
 
 def test_conjugation_invariance_of_class_map():
     g = build_symmetric(3)
-    conj = conjugacy_classes(g)
+    conj = g.conj
     for a in range(6):
         for h in range(6):
             b = g.mul(g.mul(h, a), g.inv(h))
@@ -127,7 +151,7 @@ def test_build_from_permutations_generates_s3():
     g = build_from_permutations([[1, 0, 2], [1, 2, 0]])
     assert g.order == 6
     assert not g.is_abelian()
-    assert conjugacy_classes(g).sizes == (1, 3, 2)
+    assert g.conj.sizes == (1, 3, 2)
 
 
 def test_build_from_permutations_rejects_bad_input():

@@ -18,7 +18,6 @@ from covermotive.groups import (
     build_dihedral,
     build_product_cyclic,
     build_symmetric,
-    conjugacy_classes,
 )
 from covermotive.hurwitz import braid_orbits, enumerate_hurwitz, nielsen_count
 from hurwitz_oracle import (
@@ -63,7 +62,7 @@ def test_enumeration_guards():
 
 def test_braid_generator_preserves_invariants():
     s3 = build_symmetric(3)
-    conj = conjugacy_classes(s3)
+    conj = s3.conj
     for v in enumerate_hurwitz(s3, 4):
         for i in (1, 2, 3):
             w = braid_generator(s3, v, i)
@@ -216,7 +215,7 @@ def test_orbits_match_two_sided_reference(group, n, mod):
 def test_orbit_invariants(group, n, mod):
     # Braid moves keep the product, the class multiset and the generated
     # subgroup; mod conjugation the subgroup is kept up to conjugacy.
-    conj = conjugacy_classes(group)
+    conj = group.conj
 
     def subgroup(v):
         sub = tuple(generated_subgroup(group, v))
@@ -231,7 +230,7 @@ def test_orbit_invariants(group, n, mod):
 
 
 def _transpositions(group, d):
-    conj = conjugacy_classes(group)
+    conj = group.conj
     return [
         g for g in range(group.order)
         if group.element_order(g) == 2 and conj.sizes[conj.class_of[g]] == d * (d - 1) // 2
@@ -264,7 +263,7 @@ def test_dihedral_one_orbit_per_class_multiset(k, n, types):
     # automorphisms is not checked here, so the numbers of multisets are
     # pinned as regression values, not as that theorem.
     group = build_dihedral(k)
-    conj = conjugacy_classes(group)
+    conj = group.conj
     pool = [g for g in range(group.order) if g != group.identity]
     orbits = braid_orbits(group, generating_tuples(group, n, pool), mod_conjugation=True)
     multisets = [{tuple(sorted(conj.class_of[g] for g in v)) for v in orbit} for orbit in orbits]
@@ -292,7 +291,7 @@ def test_orbits_mod_conjugation_reject_non_closed_input():
 
 def test_nielsen_count_abelian_is_indicator():
     g = build_product_cyclic([2, 2])
-    conj = conjugacy_classes(g)
+    conj = g.conj
     assert conj.count == 4
     for cvec in itertools.product(range(4), repeat=3):
         expected = 1 if _product(g, cvec) == g.identity else 0
@@ -305,7 +304,7 @@ def test_nielsen_count_s3():
     assert nielsen_count(s3, (2, 2, 2)) == 2
     assert nielsen_count(s3, (1, 1, 1, 0)) == 0
     # Cross-check against a raw product scan.
-    conj = conjugacy_classes(s3)
+    conj = s3.conj
     cvec = (1, 2, 1)
     members = [
         [g for g in range(6) if conj.class_of[g] == c] for c in cvec

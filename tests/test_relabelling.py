@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from covermotive.cli import main
-from covermotive.groups import build_cyclic, build_group, build_product_cyclic, conjugacy_classes
+from covermotive.groups import build_cyclic, build_group, build_product_cyclic
 
 GROUPS = [build_cyclic(2), build_cyclic(3), build_cyclic(4), build_product_cyclic([2, 2]),
           build_cyclic(6)]
@@ -64,7 +64,7 @@ def test_relabelled_table_gives_the_same_output(drawn, capsys, tmp_path):
         json.loads(_stdout(capsys, "class", "--per-marking", "--group-file", str(f), "--n", str(n)))
         for f in files
     )
-    old, new = conjugacy_classes(group), conjugacy_classes(build_group({"cayley": relabelled}))
+    old, new = group.conj, build_group({"cayley": relabelled}).conj
     cmap = [new.class_of[perm[rep]] for rep in old.representatives]
     mapped = {
         ",".join(str(cmap[int(c)]) for c in key.split(",")): cls

@@ -23,7 +23,7 @@ import pytest
 
 import covermotive.smodules as sm
 from covermotive.errors import InexactDivision
-from covermotive.groups import build_cyclic, build_product_cyclic, conjugacy_classes
+from covermotive.groups import build_cyclic, build_product_cyclic
 from covermotive.motives import ONE, MotivePoly
 from smodule_totals import forget_class
 from smodules_oracle import (
@@ -45,7 +45,7 @@ Q = MotivePoly((0, 1))
 
 
 def _iota(group) -> tuple[int, ...]:
-    return conjugacy_classes(group).involution
+    return group.conj.involution
 
 
 def test_forget_class_sums_weighted():
@@ -161,7 +161,7 @@ def test_type_engine_matches_tuple_oracle():
 def test_type_compose_units():
     rng = random.Random(3)
     for group in (Z2, Z3, V4):
-        count = conjugacy_classes(group).count
+        count = group.conj.count
         w = _random_type_module(rng, count)
         degrees = set(w.degrees())
         assert sm.compose(sm.unit_i1(count), w, degrees) == w

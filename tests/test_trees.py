@@ -11,7 +11,6 @@ from covermotive.groups import (
     build_cyclic,
     build_product_cyclic,
     build_symmetric,
-    conjugacy_classes,
 )
 from covermotive.motives import ONE, ZERO, MotivePoly
 from covermotive.trees import (
@@ -163,7 +162,7 @@ def test_gerby_markings_counts():
 
 def test_gerby_markings_edge_pairing():
     z3 = build_cyclic(3)
-    iota = conjugacy_classes(z3).involution
+    iota = z3.conj.involution
     for gt in gerby_markings(_caterpillar4(), z3):
         for a, b in gt.ntree.tree.edges():
             assert gt.marks[a] == iota[gt.marks[b]]
