@@ -25,8 +25,8 @@ tests/test_calculator.py enumerates the trees, marks every edge freely and
 checks every vertex (trees.gerby_markings, trees.is_admissible); it is the
 oracle for both shortcuts.
 
-The recursion works on class types (smodules).  Its open part tests product
-one per type with hurwitz.nielsen_count, not the sweep's multiplication.  Its
+The recursion works on class types (smodules).  Its open part multiplies
+out every sorted class tuple and, unlike the sweep, forces no entry.  Its
 tails are the sweep classes of degrees below n, which enter through
 bbar_module, the one crossing between the routes, as one generator per
 product-one type; so each level of the ladder tests the recursion against
@@ -42,7 +42,6 @@ from typing import Iterable, Iterator
 
 from .errors import MalformedSpec, UnsupportedNonabelian
 from .groups import FiniteGroup
-from .hurwitz import nielsen_count
 from .motives import ZERO, MotivePoly, class_m0n
 from .smodules import (
     Atom,
@@ -187,13 +186,22 @@ class Calculator:
     # ---- recursion route ----
 
     def open_module(self, n: int) -> SModClass:
-        """Open part, degrees 3..n: class_m0n(m) on each type that carries a cover."""
+        """Open part, degrees 3..n: class_m0n(m) on each type of degree m whose marks
+        multiply to the identity, by one depth-first walk over sorted class tuples."""
+        table, identity = self.group.table, self.group.identity
+        reps, count = self.conj.representatives, self.conj.count
+        m0n = {m: class_m0n(m) for m in range(3, n + 1)}
         atoms = []
-        for m in range(3, n + 1):
-            cls = class_m0n(m)
-            for cvec in itertools.combinations_with_replacement(range(self.conj.count), m):
-                if nielsen_count(self.group, cvec) == 1:
-                    atoms.append(Atom(cvec, (), cls))
+
+        def walk(prefix: tuple[int, ...], acc: int) -> None:
+            for c in range(prefix[-1] if prefix else 0, count):
+                t, product = prefix + (c,), table[acc][reps[c]]
+                if product == identity and len(t) >= 3:
+                    atoms.append(Atom(t, (), m0n[len(t)]))
+                if len(t) < n:
+                    walk(t, product)
+
+        walk((), identity)
         return SModClass(atoms)
 
     def bbar_module(self, up_to: int) -> SModClass:

@@ -48,15 +48,8 @@ class FiniteGroup:
     name: str
     conj: ConjugacyTable
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        return self.conj.count == self.order  # exactly when every class is one element
 
     def element_order(self, a: int) -> int:
         k, x = 1, a

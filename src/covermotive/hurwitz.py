@@ -104,16 +104,17 @@ def nielsen_count(group: FiniteGroup, classes: Sequence[int]) -> int:
 
     For an abelian group this is 1 when the classes sum to the identity and 0
     otherwise; in general it is a genuine count.  It tries every choice of
-    members of all but the last class, and takes no cap.
+    members of all but the last class, and takes no cap.  No command calls it:
+    it is the reference for Calculator.open_module and tests/smodules_oracle.py.
     """
     if not classes:
         raise ValueError("need at least one class")
-    conj = group.conj
+    conj, table = group.conj, group.table
     count = 0
     for prefix in itertools.product(*(conj.members[c] for c in classes[:-1])):
         acc = group.identity
         for g in prefix:
-            acc = group.mul(acc, g)
-        if conj.class_of[group.inv(acc)] == classes[-1]:
+            acc = table[acc][g]
+        if conj.class_of[group.inverse[acc]] == classes[-1]:
             count += 1
     return count

@@ -131,8 +131,6 @@ def to_poincare(p: MotivePoly) -> tuple[int, ...] | None:
     """
     if any(c < 0 for c in p.coeffs):
         return None
-    if p.is_zero:
-        return ()
     out = [0] * (2 * len(p.coeffs) - 1)
     for k, c in enumerate(p.coeffs):
         out[2 * k] = c

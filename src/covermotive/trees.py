@@ -263,11 +263,11 @@ def is_admissible(group: FiniteGroup, gt: GerbyTree) -> bool:
     """
     if not group.is_abelian():
         raise UnsupportedNonabelian("vertex admissibility needs an unordered product; abelian only")
-    tree = gt.ntree.tree
+    tree, table, reps = gt.ntree.tree, group.table, group.conj.representatives
     for v in range(tree.vertex_count):
         acc = group.identity
         for f in tree.flags_at(v):
-            acc = group.mul(acc, group.conj.representatives[gt.marks[f]])
+            acc = table[acc][reps[gt.marks[f]]]
         if acc != group.identity:
             return False
     return True

@@ -1,9 +1,10 @@
 """Slow references for the Hurwitz layer.
 
-Every conjugate and every braid move is built through ``group.mul``, one
-element at a time, so the fast table-driven closure and canonical form in
-``braid_orbits`` can be checked against them.  ``generating_tuples``
-enumerates Nielsen classes for the classical orbit counts.
+Every conjugate and every braid move is built one product at a time from
+``group.table`` and ``group.inverse``, with no precomputed conjugation table,
+so the closure and canonical form in ``braid_orbits``, which read one, can be
+checked against them.  ``generating_tuples`` enumerates Nielsen classes for
+the classical orbit counts.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from covermotive.groups import FiniteGroup
 
 
 def conjugate_vector(group: FiniteGroup, h: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    hinv = group.inv(h)
-    return tuple(group.mul(group.mul(h, g), hinv) for g in v)
+    table, hinv = group.table, group.inverse[h]
+    return tuple(table[table[h][g]][hinv] for g in v)
 
 
 def canonical_under_conjugation(group: FiniteGroup, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -26,14 +27,14 @@ def canonical_under_conjugation(group: FiniteGroup, v: tuple[int, ...]) -> tuple
 
 def braid_generator(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int, ...]:
     """sigma_i (1-based, 1 <= i <= n - 1): (a, b) -> (a b a^{-1}, a)."""
-    a, b = v[i - 1], v[i]
-    return v[: i - 1] + (group.mul(group.mul(a, b), group.inv(a)), a) + v[i + 1 :]
+    a, b, table = v[i - 1], v[i], group.table
+    return v[: i - 1] + (table[table[a][b]][group.inverse[a]], a) + v[i + 1 :]
 
 
 def braid_inverse(group: FiniteGroup, v: tuple[int, ...], i: int) -> tuple[int, ...]:
     """sigma_i^{-1} (1-based): (c, d) -> (d, d^{-1} c d), undoing braid_generator."""
-    c, d = v[i - 1], v[i]
-    return v[: i - 1] + (d, group.mul(group.mul(group.inv(d), c), d)) + v[i + 1 :]
+    c, d, table = v[i - 1], v[i], group.table
+    return v[: i - 1] + (d, table[table[group.inverse[d]][c]][d]) + v[i + 1 :]
 
 
 def reference_orbits(
@@ -84,7 +85,7 @@ def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> frozenset
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = group.mul(x, g)
+            y = group.table[x][g]
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -104,8 +105,8 @@ def generating_tuples(group: FiniteGroup, n: int, pool: Iterable[int]) -> list[t
     for prefix in itertools.product(sorted(allowed), repeat=n - 1):
         acc = group.identity
         for g in prefix:
-            acc = group.mul(acc, g)
-        last = group.inv(acc)
+            acc = group.table[acc][g]
+        last = group.inverse[acc]
         if last in allowed:
             v = prefix + (last,)
             if len(generated_subgroup(group, v)) == group.order:

@@ -7,15 +7,22 @@ Poincare duality every class that `class` prints, total or per marking, is
 palindromic.  The sweep builds its classes from open-stratum factors that are
 not palindromic (class_m0n(6) is q^3 - 9q^2 + 26q - 24), so neither check
 holds by construction.
+
+Over the same groups, the recursion's open part is compared degree by degree
+with the Hurwitz layer's per-type count, nielsen_count.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 
 from covermotive.calculator import Calculator
 from covermotive.groups import build_cyclic, build_product_cyclic
-from covermotive.motives import MotivePoly
+from covermotive.hurwitz import nielsen_count
+from covermotive.motives import MotivePoly, class_m0n
 from oracles import keel_class
 
 CASES = [
@@ -62,3 +69,21 @@ def test_printed_classes_are_palindromic(group, top):
     for n in range(3, top + 1):
         assert _palindromic(calc.class_bbar(n)), f"total, n = {n}"
         assert _palindromic(calc.sweep(n).strata), f"per marking, n = {n}"
+
+
+@pytest.mark.parametrize("group, top", [*CASES, (build_cyclic(37), 3)], ids=[*IDS, "C37"])
+def test_open_part_is_the_product_one_types(group, top):
+    # The walk multiplies out each sorted class tuple and forces no entry.  So
+    # it runs on a copy of the group with neither inverses nor a class map:
+    # forcing the last entry, the sweep's method, needs both.
+    blind = replace(group, inverse=None, conj=replace(group.conj, class_of=None))
+    module = Calculator(blind).open_module(top)
+    assert module.degrees() == list(range(3, top + 1))
+    for m in range(3, top + 1):
+        want = [
+            c
+            for c in combinations_with_replacement(range(group.conj.count), m)
+            if nielsen_count(group, c) == 1
+        ]
+        assert [a.classes for a in module.part(m)] == want, f"m = {m}"
+        assert all(a.cls == class_m0n(m) for a in module.part(m)), f"m = {m}"

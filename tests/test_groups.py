@@ -29,9 +29,8 @@ def test_cyclic_basics():
         g = build_cyclic(k)
         assert g.order == k
         assert g.identity == 0
-        assert g.is_abelian()
         for a in range(k):
-            assert g.mul(a, g.inv(a)) == g.identity
+            assert g.table[a][g.inverse[a]] == g.identity
 
 
 def test_cyclic_element_orders():
@@ -42,7 +41,6 @@ def test_cyclic_element_orders():
 def test_product_cyclic_klein_four():
     g = build_product_cyclic([2, 2])
     assert g.order == 4
-    assert g.is_abelian()
     assert g.name == "C2xC2"
     assert all(g.element_order(a) == 2 for a in range(1, 4))
 
@@ -83,17 +81,37 @@ def test_dropped_group_is_freed():
 def test_dihedral():
     g = build_dihedral(4)
     assert g.order == 8
-    assert not g.is_abelian()
-    # D2 is the Klein four group.
-    assert build_dihedral(2).is_abelian()
     # D3 is S3 in disguise: class sizes 1, 2, 3.
     assert build_dihedral(3).conj.sizes == (1, 2, 3)
+
+
+def test_is_abelian_agrees_with_the_commutativity_scan():
+    # is_abelian reads the class count: a group is abelian exactly when every
+    # conjugacy class is a single element.  The scan compares every pair.
+    s3 = build_symmetric(3)
+    perm = [3, 5, 0, 1, 4, 2]  # moves the identity off 0
+    relabelled = [[0] * 6 for _ in range(6)]
+    for a, row in enumerate(s3.table):
+        for b, ab in enumerate(row):
+            relabelled[perm[a]][perm[b]] = perm[ab]
+    cases = [
+        *((build_cyclic(k), True) for k in range(1, 7)),
+        *((build_dihedral(k), k <= 2) for k in range(1, 6)),  # D1 is C2, D2 the Klein four group
+        *((build_symmetric(k), k <= 2) for k in range(1, 5)),
+        (build_product_cyclic([2, 2]), True),
+        (build_product_cyclic([2, 3]), True),
+        (build_from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]]), False),  # A4
+        (build_group({"cayley": relabelled}), False),  # S3 relabelled
+    ]
+    for g, abelian in cases:
+        t = g.table
+        scan = all(t[a][b] == t[b][a] for a in range(g.order) for b in range(g.order))
+        assert g.is_abelian() == scan == abelian, g.name
 
 
 def test_symmetric_conjugacy_data():
     s3 = build_symmetric(3)
     assert s3.order == 6
-    assert not s3.is_abelian()
     conj = s3.conj
     assert conj.sizes == (1, 3, 2)
     assert [class_order(s3, c) for c in range(conj.count)] == [1, 2, 3]
@@ -129,11 +147,10 @@ def test_involution_pairs_inverse_classes():
         for c in range(conj.count):
             assert iota[iota[c]] == c
             for m in conj.members[c]:
-                assert conj.class_of[g.inv(m)] == iota[c]
+                assert conj.class_of[g.inverse[m]] == iota[c]
     # C5: classes are singletons {a}, inverse pairing is a <-> 5 - a.
     assert c5.conj.involution == (0, 4, 3, 2, 1)
     # A4: the two classes of 3-cycles are each other's inverses.
-    assert not a4.is_abelian()
     assert a4.conj.sizes == (1, 4, 4, 3)
     assert a4.conj.involution == (0, 2, 1, 3)
 
@@ -143,14 +160,13 @@ def test_conjugation_invariance_of_class_map():
     conj = g.conj
     for a in range(6):
         for h in range(6):
-            b = g.mul(g.mul(h, a), g.inv(h))
+            b = g.table[g.table[h][a]][g.inverse[h]]
             assert conj.class_of[a] == conj.class_of[b]
 
 
 def test_build_from_permutations_generates_s3():
     g = build_from_permutations([[1, 0, 2], [1, 2, 0]])
     assert g.order == 6
-    assert not g.is_abelian()
     assert g.conj.sizes == (1, 3, 2)
 
 

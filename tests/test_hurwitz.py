@@ -33,7 +33,7 @@ from hurwitz_oracle import (
 def _product(group, v):
     acc = group.identity
     for g in v:
-        acc = group.mul(acc, g)
+        acc = group.table[acc][g]
     return acc
 
 
@@ -103,7 +103,7 @@ def test_conjugation_helpers():
     v = (1, 2, 4)
     for h in range(6):
         w = conjugate_vector(s3, h, v)
-        assert _product(s3, w) == s3.mul(s3.mul(h, _product(s3, v)), s3.inv(h))
+        assert _product(s3, w) == _product(s3, (h, _product(s3, v), s3.inverse[h]))
     canon = canonical_under_conjugation(s3, v)
     assert canon <= v
     assert canonical_under_conjugation(s3, canon) == canon
@@ -200,8 +200,8 @@ def test_orbits_are_single_orbits_of_the_public_move():
 @pytest.mark.parametrize("group, n", [(build_symmetric(3), 5), (build_dihedral(4), 5)], ids=["S3", "D4"])
 @pytest.mark.parametrize("mod", [False, True], ids=["plain", "mod-conj"])
 def test_orbits_match_two_sided_reference(group, n, mod):
-    # The reference closes under sigma_i and sigma_i^{-1}, built with
-    # group.mul, and canonicalizes by the slow oracle.
+    # The reference closes under sigma_i and sigma_i^{-1}, built one product
+    # at a time, and canonicalizes by the slow oracle.
     vectors = enumerate_hurwitz(group, n)
     assert braid_orbits(group, vectors, mod_conjugation=mod) == reference_orbits(group, vectors, mod)
 
