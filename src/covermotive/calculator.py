@@ -112,7 +112,8 @@ class Calculator:
 
     def topologies(self, n: int) -> list[NTree]:
         """The stable n-trees, built one by one.  No route calls this; it stays
-        only as a binding that perfbench/trace_child.py wraps, as GerbyTree does."""
+        only as a binding that perfbench/trace_child.py wraps, as it wraps
+        enumerate_stable_trees, gerby_markings and is_admissible."""
         return enumerate_stable_trees(n)
 
     def _closed(self, prefixes: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:

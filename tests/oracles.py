@@ -19,7 +19,7 @@ from math import comb, factorial
 from covermotive.errors import CoverMotiveError
 from covermotive.groups import FiniteGroup
 from covermotive.motives import ZERO, MotivePoly, class_m0n
-from covermotive.trees import GerbyTree, NTree, is_admissible
+from covermotive.trees import NTree, is_admissible
 
 DEFAULT_POINT_CAP = 10**8
 DEFAULT_TREE_CAP = 6
@@ -182,23 +182,14 @@ def closed_form_profile_counts(n: int) -> Counter[tuple[int, ...]]:
     return counts
 
 
-def stratum_class(group: FiniteGroup, gt: GerbyTree) -> MotivePoly:
+def stratum_class(group: FiniteGroup, nt: NTree, marks: tuple[int, ...]) -> MotivePoly:
     """Product over vertices of the marked-point moduli class, or zero."""
-    if not is_admissible(group, gt):
+    if not is_admissible(group, nt, marks):
         return ZERO
-    tree = gt.ntree.tree
     acc = MotivePoly((1,))
-    for v in range(tree.vertex_count):
-        acc = acc * class_m0n(tree.valence(v))
+    for valence in nt.valences():
+        acc = acc * class_m0n(valence)
     return acc
-
-
-def leaf_of_label(nt: NTree, label: int) -> int:
-    """The leaf flag of nt that carries label."""
-    for f in nt.tree.leaves():
-        if nt.labels[f] == label:
-            return f
-    raise ValueError(f"no leaf labeled {label}")
 
 
 def eval_at(poly: MotivePoly, x: int) -> int:

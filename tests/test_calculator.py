@@ -21,7 +21,7 @@ from covermotive.trees import (
     is_admissible,
     stratum_class_of_topology,
 )
-from oracles import leaf_of_label, stratum_class
+from oracles import stratum_class
 from smodule_totals import forget_class
 from smodules_oracle import oracle_terms
 
@@ -225,9 +225,8 @@ def test_euler_identity():
 def test_topology_analysis():
     topos = _calc(build_cyclic(2)).topologies(4)
     assert len(topos) == 4
-    assert [nt.tree.vertex_count for nt in topos] == [1, 2, 2, 2]
-    assert [len(nt.tree.edges()) for nt in topos] == [0, 1, 1, 1]
-    valences = [tuple(nt.tree.valence(u) for u in range(nt.tree.vertex_count)) for nt in topos]
+    assert [len(nt.up) for nt in topos] == [0, 1, 1, 1]
+    valences = [tuple(nt.valences()) for nt in topos]
     assert valences == [(4,), (3, 3), (3, 3), (3, 3)]
     # The one-vertex topology carries the open moduli class of four points.
     assert stratum_class_of_topology(valences[0]) == TRIVIAL([-2, 1])
@@ -240,19 +239,17 @@ def _brute_force_sweep(group, n):
     total = vertex_weighted = edge_weighted = ZERO
     per_topology = []
     for nt in enumerate_stable_trees(n):
-        tree = nt.tree
-        leaves = [leaf_of_label(nt, label) for label in range(1, n + 1)]
         hits = 0
-        for gt in gerby_markings(nt, group):
-            if not is_admissible(group, gt):
+        for marks in gerby_markings(nt, group):
+            if not is_admissible(group, nt, marks):
                 continue
             hits += 1
-            cls = stratum_class(group, gt)
-            key = tuple(gt.marks[f] for f in leaves)
+            cls = stratum_class(group, nt, marks)
+            key = marks[:n]
             per_marking[key] = per_marking.get(key, ZERO) + cls
             total = total + cls
-            vertex_weighted = vertex_weighted + cls.scale(tree.vertex_count)
-            edge_weighted = edge_weighted + cls.scale(len(tree.edges()))
+            vertex_weighted = vertex_weighted + cls.scale(len(nt.up) + 1)
+            edge_weighted = edge_weighted + cls.scale(len(nt.up))
         per_topology.append(hits)
     return per_marking, total, vertex_weighted, edge_weighted, per_topology
 
