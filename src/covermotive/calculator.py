@@ -36,9 +36,8 @@ independently computed lower levels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedSpec, UnsupportedNonabelian
 from .groups import FiniteGroup
@@ -55,8 +54,7 @@ from .smodules import (
 from .trees import NTree, enumerate_stable_trees, profile_counts, stratum_class_of_topology
 
 
-@dataclass
-class StrataSweep:
+class StrataSweep(NamedTuple):
     """Everything one pass over the product-one types of degree n yields.
 
     types lists each product-one type once, as a sorted class tuple; every
@@ -74,8 +72,7 @@ class StrataSweep:
     admissible_count: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """first_difference is the first type, in sorted order, whose classes
     differ, with the sweep's class and the recursion's; None if none does."""
 

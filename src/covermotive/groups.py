@@ -2,9 +2,9 @@
 
 Elements are dense indices 0..order-1.  A group is built either from one of
 the builtin families (cyclic, products of cyclics, dihedral, symmetric), from
-an explicit Cayley table, or as the closure of a set of permutations.  Every
-construction path runs the same axiom checks, so a FiniteGroup in hand is
-always a group.
+an explicit Cayley table, or as the closure of a set of permutations on the
+points they move.  Every construction path runs the same axiom checks, so a
+FiniteGroup in hand is always a group.  Groups compare and hash by identity.
 
 Conjugacy classes get dense ids assigned in order of their smallest element
 index, which makes every downstream enumeration deterministic.  A group
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedSpec, NotAGroup
 
@@ -26,8 +26,7 @@ MAX_ORDER = 255
 SCHEMA = 1  # the one version of the group spec format
 
 
-@dataclass(frozen=True)
-class ConjugacyTable:
+class ConjugacyTable(NamedTuple):
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -35,18 +34,15 @@ class ConjugacyTable:
     involution: tuple[int, ...]  # involution[c]: the class of the inverses of class c
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # the class count; it shadows tuple.count on purpose
         return len(self.representatives)
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    name: str
-    conj: ConjugacyTable
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int,
+                 inverse: tuple[int, ...], name: str, conj: ConjugacyTable):
+        self.order, self.table, self.identity = order, table, identity
+        self.inverse, self.name, self.conj = inverse, name, conj
 
     def is_abelian(self) -> bool:
         return self.conj.count == self.order  # exactly when every class is one element
@@ -139,14 +135,8 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
                         f"({a}*{b})*{c} = {table[table[a][b]][c]} but "
                         f"{a}*({b}*{c}) = {table[a][table[b][c]]}")
 
-    return FiniteGroup(
-        order=n,
-        table=tuple(tuple(row) for row in table),
-        identity=identity,
-        inverse=tuple(inverse),
-        name=name,
-        conj=conjugacy_classes(table, inverse),
-    )
+    conj = conjugacy_classes(table, inverse)
+    return FiniteGroup(n, tuple(map(tuple, table)), identity, tuple(inverse), name, conj)
 
 
 def build_cyclic(k: int) -> FiniteGroup:
@@ -218,20 +208,23 @@ def build_from_permutations(gens: list[list[int]]) -> FiniteGroup:
     if not gens:
         raise MalformedSpec("need at least one generating permutation")
     d = len(gens[0])
-    gen_tuples = []
     for g in gens:
         if len(g) != d or sorted(g) != list(range(d)):
             raise MalformedSpec(f"{g!r} is not a permutation of 0..{d - 1}")
-        gen_tuples.append(tuple(g))
+    # Drop the points every generator fixes and relabel the rest in increasing
+    # order: that keeps the sorted element order, and so the table.
+    moved = [x for x in range(d) if any(g[x] != x for g in gens)]
+    label = {x: i for i, x in enumerate(moved)}
+    gen_tuples = [tuple(label[g[x]] for x in moved) for g in gens]
 
-    identity = tuple(range(d))
+    identity = tuple(range(len(moved)))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gen_tuples:
-                q = tuple(p[g[i]] for i in range(d))
+                q = tuple(p[x] for x in g)
                 if q not in seen:
                     if len(seen) >= MAX_ORDER:
                         raise MalformedSpec(f"closure exceeds the supported maximum {MAX_ORDER}")

@@ -8,24 +8,33 @@ other.
 
 Specialisations: q -> uv gives the Hodge-Euler polynomial, and reading the
 coefficient of q^k as the Betti number b_{2k} gives the Poincare polynomial
-(only legitimate when every coefficient is non-negative).
+(only legitimate when every coefficient is non-negative).  A MotivePoly
+compares and hashes by its coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
-@dataclass(frozen=True)
 class MotivePoly:
     """Element of Z[q] stored as ascending coefficients with no trailing zeros."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use MotivePoly.of")
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs if isinstance(other, MotivePoly) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"MotivePoly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(coeffs: Iterable[int]) -> "MotivePoly":

@@ -33,9 +33,8 @@ the stratification classes per type.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, factorial, prod
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 from .errors import InexactDivision
 from .motives import ONE, MotivePoly
@@ -59,8 +58,7 @@ class EngineStats:
 stats = EngineStats()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """The generators of one type and root attachment, each of class cls."""
 
     classes: tuple[int, ...]

@@ -509,6 +509,21 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # Every command is a fresh process, and dataclasses (with inspect) would
+    # add their import and code generation to each.  A subprocess, because
+    # pytest itself imports dataclasses.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import covermotive.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        check=True,
+        env=_child_env(),
+        text=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
 # stdout as printed before either engine was replaced: the tree-bound
 # commands by the enumerating engine, before tree counts came from valence
 # profiles (each took 80-417 s then), and the recursion-bound verify and

@@ -14,7 +14,7 @@ with the Hurwitz layer's per-type count, nielsen_count.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
 from itertools import combinations_with_replacement
 
 import pytest
@@ -76,7 +76,8 @@ def test_open_part_is_the_product_one_types(group, top):
     # The walk multiplies out each sorted class tuple and forces no entry.  So
     # it runs on a copy of the group with neither inverses nor a class map:
     # forcing the last entry, the sweep's method, needs both.
-    blind = replace(group, inverse=None, conj=replace(group.conj, class_of=None))
+    blind = copy.copy(group)
+    blind.inverse, blind.conj = None, group.conj._replace(class_of=None)
     module = Calculator(blind).open_module(top)
     assert module.degrees() == list(range(3, top + 1))
     for m in range(3, top + 1):

@@ -31,6 +31,10 @@ def test_cyclic_basics():
         assert g.identity == 0
         for a in range(k):
             assert g.table[a][g.inverse[a]] == g.identity
+    # Groups compare and hash by identity, their class tables by value.
+    c3, again = build_cyclic(3), build_cyclic(3)
+    assert c3 == c3 and c3 != again and len({c3, again}) == 2
+    assert c3.conj == again.conj
 
 
 def test_cyclic_element_orders():
@@ -168,6 +172,27 @@ def test_build_from_permutations_generates_s3():
     g = build_from_permutations([[1, 0, 2], [1, 2, 0]])
     assert g.order == 6
     assert g.conj.sizes == (1, 3, 2)
+
+
+def test_build_from_permutations_drops_fixed_points():
+    # Points that no generator moves cost one scan each, not a slot in every
+    # product of the closure and the table.
+    cycle = [*range(1, 255), 0, *range(255, 20_000)]
+    start = time.perf_counter()
+    g = build_from_permutations([cycle])
+    assert time.perf_counter() - start < 5
+    assert g.name == "perm<255>"
+    assert g.table == build_cyclic(255).table
+    # Relabelling the moved points in increasing order keeps the sorted
+    # element order: a 5-cycle on the even points of nine has the table of its
+    # powers as 9-tuples in sorted order (the reversed relabelling changes it).
+    spread = (2, 1, 4, 3, 8, 5, 0, 7, 6)
+    powers = [tuple(range(9))]
+    while len(powers) < 5:
+        powers.append(tuple(powers[-1][x] for x in spread))
+    elements = sorted(powers)
+    want = tuple(tuple(elements.index(tuple(p[x] for x in q)) for q in elements) for p in elements)
+    assert build_from_permutations([list(spread)]).table == want
 
 
 def test_build_from_permutations_rejects_bad_input():

@@ -35,6 +35,10 @@ def test_constants():
     assert ZERO.is_zero
     assert ONE.is_one
     assert Q == MotivePoly.of([0, 1])
+    # Polynomials compare and hash by value, and are not their coefficient tuples.
+    assert hash(Q) == hash(MotivePoly.of([0, 1])) and len({Q, MotivePoly((0, 1))}) == 1
+    assert Q != (0, 1) and (0, 1) != Q
+    assert repr(Q) == "MotivePoly(coeffs=(0, 1))"
 
 
 def test_add_sub_neg():
