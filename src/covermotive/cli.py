@@ -45,7 +45,7 @@ from pathlib import Path
 from .calculator import Calculator
 from .errors import InexactDivision, MalformedSpec, NotAGroup, SizeLimit, UnsupportedNonabelian
 from .groups import FiniteGroup, build_group, class_order
-from .hurwitz import braid_orbits, enumerate_hurwitz
+from .hurwitz import braid_orbits
 from .motives import format_poly, monomial, to_poincare
 from .trees import profile_counts
 
@@ -314,8 +314,8 @@ def cmd_hurwitz(args) -> int:
     _require_n(args, 1)
     group = _load_group(args)
     cap = _cap_override(DEFAULT_TUPLE_CAP)
-    # Bound: order^(n-1) tuples of length n, and with --orbits that times
-    # 2(n-1), twice the n-1 braid moves the closure makes per vector.  The
+    # Bound: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1):
+    # the closure decodes each tuple once and makes its n-1 braid moves.  The
     # power is clamped as in _calculator, so a large n builds no huge integer.
     work = group.order ** min(args.n - 1, cap.bit_length()) * args.n
     moves = ""
@@ -329,13 +329,11 @@ def cmd_hurwitz(args) -> int:
     # The last entry is forced by the first n - 1, so the count needs no list.
     print(f"product-one tuples for {group.name}, n = {args.n}: {group.order ** (args.n - 1)}")
     if args.orbits:
-        vectors = enumerate_hurwitz(group, args.n)
-        orbits = braid_orbits(group, vectors, mod_conjugation=args.mod_conj)
+        orbits = braid_orbits(group, args.n, args.mod_conj)
         print(f"braid orbits{' mod conjugation' if args.mod_conj else ''}: {len(orbits)}")
         print("orbit,size,representative")
-        for idx, orbit in enumerate(orbits):
-            rep = " ".join(str(g) for g in orbit[0])
-            print(f"{idx},{len(orbit)},{rep}")
+        for idx, (least, size) in enumerate(orbits):
+            print(f"{idx},{size},{' '.join(map(str, least))}")
     return 0
 
 

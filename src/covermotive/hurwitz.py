@@ -1,30 +1,27 @@
 """Tuples of group elements with product one, and the braid action on them.
 
 A cover of the projective line branched over n marked points is encoded by
-its monodromy: a tuple (g_1, ..., g_n) multiplying to the identity.  Vectors
-are plain tuples of element indices.  The braid generator sigma_i replaces
-(g_i, g_{i+1}) by (g_i g_{i+1} g_i^{-1}, g_i); it preserves the product and
-the multiset of conjugacy classes.
+its monodromy: a tuple (g_1, ..., g_n) of element indices multiplying to the
+identity.  The braid generator sigma_i replaces (g_i, g_{i+1}) by
+(g_i g_{i+1} g_i^{-1}, g_i); it keeps the product and the class multiset.
 
-Orbit computations are closures read off a conjugation table
-rows[h][g] = h g h^{-1}, built once per call: sigma_i sends (a, b) to
-(rows[a][b], a).  Each sigma_i permutes the finite set of vectors, so a set
-closed under sigma_i is closed under its inverse too, and the closure of a
-seed under the forward moves alone is its whole orbit.
-Optionally the orbits are taken after quotienting by simultaneous
-conjugation.  A vector's |G| conjugates are read off the columns
-cols[g][h] = h g h^{-1} in one zip, the class is written as its
-lexicographically least conjugate, and that minimum is recorded for every
-conjugate, so each conjugation class of vectors is canonicalized once.
-Conjugation commutes with every braid move, so quotienting before or after
-taking the closure yields the same partition; the flag is just a choice of
-which set the orbits live on.
+A product-one tuple is fixed by its first n - 1 entries; read as base-order
+digits they are its index, a bijection onto range(order^(n-1)) in
+lexicographic order.  With rows[h][g] = h g h^{-1}, sigma_i sends (a, b) to
+(c, a), c = rows[a][b], and so moves the index by (c - a) W[i-1] +
+(a - b) W[i] for the digit weights W, where W[n-1] = 0 for the forced last
+entry.  Each sigma_i permutes the finite set of tuples, so the closure of a
+seed under the forward moves is its whole orbit, and seeds scanned in index
+order each start an orbit at its least member.  Conjugation commutes with
+every braid move, so mod conjugation reaching a tuple marks all |G| of its
+conjugates as seen, and the scan meets each class first at its least member.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from operator import getitem
+from typing import Sequence
 
 from .groups import FiniteGroup
 
@@ -48,54 +45,56 @@ def enumerate_hurwitz(group: FiniteGroup, n: int) -> list[tuple[int, ...]]:
 
 
 def braid_orbits(
-    group: FiniteGroup,
-    vectors: Iterable[tuple[int, ...]],
-    mod_conjugation: bool = False,
-) -> list[list[tuple[int, ...]]]:
-    """Partition the given vectors into braid orbits.
+    group: FiniteGroup, n: int, mod_conjugation: bool = False
+) -> list[tuple[tuple[int, ...], int]]:
+    """The braid orbits of the product-one n-tuples as (least member, size), sorted.
 
-    With mod_conjugation the orbits live on conjugation classes of vectors,
-    each written as its lexicographically minimal representative.  Orbits are
-    sorted by their minimal member, members sorted within each orbit, so the
-    output is independent of input order and of the closure schedule.
+    With mod_conjugation the size counts conjugation classes of tuples.  The
+    closure holds order^(n-1) bytes, which the command line bounds.
     """
-    table, inverse = group.table, group.inverse
-    rows = [
-        tuple(table[table[h][g]][inverse[h]] for g in range(group.order))
-        for h in range(group.order)
-    ]
-    cols = list(zip(*rows))
-    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+    if n < 1:
+        raise ValueError(f"need at least one entry, got {n}")
+    order, table, inverse = group.order, group.table, group.inverse
+    rows = [tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)]
+    weights = [order ** (n - 2 - j) for j in range(n - 1)] + [0]
+    # terms[j][g]: what entry j = g adds to the index of each of its |G| conjugates.
+    terms = [[tuple(row[g] * w for row in rows) for g in range(order)] for w in weights[:-1]]
+    seen = bytearray(order ** (n - 1))
 
-    def least_conjugate(v: tuple[int, ...]) -> tuple[int, ...]:
-        least = canonical.get(v)
-        if least is None:
-            images = list(zip(*map(cols.__getitem__, v)))
-            least = min(images, default=v)
-            canonical.update(dict.fromkeys(images, least))
-        return least
+    def vector(x: int) -> list[int]:
+        v, acc = [], group.identity
+        for w in weights[:-1]:
+            g, x = divmod(x, w)
+            v.append(g)
+            acc = table[acc][g]
+        v.append(inverse[acc])
+        return v
 
-    normalize = least_conjugate if mod_conjugation else (lambda v: v)
+    def mark_conjugates(v: list[int]) -> None:
+        for x in map(sum, zip(*map(getitem, terms, v))):
+            seen[x] = 1
 
-    todo = {normalize(tuple(v)) for v in vectors}
     orbits = []
-    while todo:
-        seed = todo.pop()
-        seen = {seed}
-        stack = [seed]
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        if mod_conjugation:
+            mark_conjugates(vector(start))
+        stack, size = [start], 0
         while stack:
-            v = stack.pop()
-            for i in range(1, len(v)):
-                a = v[i - 1]
-                w = normalize(v[: i - 1] + (rows[a][v[i]], a) + v[i + 1 :])
-                if w not in seen:
-                    if w not in todo:
-                        raise ValueError("input vectors are not closed under the braid action")
-                    seen.add(w)
-                    stack.append(w)
-        todo -= seen
-        orbits.append(sorted(seen))
-    orbits.sort(key=lambda orbit: orbit[0])
+            x = stack.pop()
+            size += 1
+            v = vector(x)
+            for i, (a, b) in enumerate(zip(v, v[1:]), 1):
+                c = rows[a][b]
+                y = x + (c - a) * weights[i - 1] + (a - b) * weights[i]
+                if not seen[y]:
+                    seen[y] = 1
+                    if mod_conjugation:
+                        mark_conjugates(v[: i - 1] + [c, a] + v[i + 1 :])
+                    stack.append(y)
+        orbits.append((tuple(vector(start)), size))
     return orbits
 
 

@@ -1,10 +1,11 @@
 """Slow references for the Hurwitz layer.
 
 Every conjugate and every braid move is built one product at a time from
-``group.table`` and ``group.inverse``, with no precomputed conjugation table,
-so the closure and canonical form in ``braid_orbits``, which read one, can be
-checked against them.  ``generating_tuples`` enumerates Nielsen classes for
-the classical orbit counts.
+``group.table`` and ``group.inverse``, with no precomputed conjugation table
+and no tuple index, so ``braid_orbits``, which reads both, can be checked
+against them.  ``conjugation_class_count`` counts the classes of tuples
+under simultaneous conjugation by Burnside's lemma, and ``generating_tuples``
+enumerates Nielsen classes for the classical orbit counts.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def reference_orbits(
 ) -> list[list[tuple[int, ...]]]:
     """Braid orbits by the two-sided closure: sigma_i and sigma_i^{-1} for every i.
 
-    Same output convention as ``braid_orbits``: members sorted, orbits sorted
-    by least member.  Raises ValueError if an orbit leaves the input.
+    Members sorted, orbits sorted by least member; ``braid_orbits`` reports
+    each orbit o as (o[0], len(o)).  Raises ValueError if an orbit leaves the
+    input.
     """
     canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -75,6 +77,17 @@ def reference_orbits(
         done |= orbit
         orbits.append(sorted(orbit))
     return orbits
+
+
+def conjugation_class_count(group: FiniteGroup, vectors: list[tuple[int, ...]]) -> int:
+    """Classes of the vectors under simultaneous conjugation, by Burnside's lemma.
+
+    (1/|G|) times the sum over h of the vectors that conjugation by h fixes;
+    the vectors must be closed under conjugation.
+    """
+    fixed = sum(conjugate_vector(group, h, v) == v for h in range(group.order) for v in vectors)
+    assert fixed % group.order == 0
+    return fixed // group.order
 
 
 def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:

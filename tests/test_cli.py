@@ -290,7 +290,7 @@ def test_hurwitz_mod_conj(capsys):
 def test_hurwitz_counts_without_listing(line, out, capsys, monkeypatch):
     # The last entry of a product-one tuple is forced, so there are
     # order^(n-1) of them, and without --orbits none is listed.
-    monkeypatch.setattr(cli, "enumerate_hurwitz", _no_work)
+    monkeypatch.setattr(cli, "braid_orbits", _no_work)
     assert _run(capsys, *line.split()) == (0, out, "")
 
 
@@ -416,7 +416,7 @@ def test_refusal(row, capsys, monkeypatch, tmp_path):
         (tmp_path / "spec.json").write_text(text[0])
         argv = [str(tmp_path / "spec.json") if a == "FILE" else a for a in argv]
     if code == 3:  # a cap refuses before any work starts
-        for name in ("Calculator", "profile_counts", "enumerate_hurwitz"):
+        for name in ("Calculator", "profile_counts", "braid_orbits"):
             monkeypatch.setattr(cli, name, _no_work)
     start = time.perf_counter()
     got, out, err = _run(capsys, *argv)
@@ -570,3 +570,30 @@ def test_golden_stdout(command):
     )
     assert proc.returncode == 0
     assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[command]
+
+
+# The benchmark's hurwitz commands, read from its table of expected stdout
+# so that the digests are kept in one place.
+BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+HURWITZ_EXPECTED = {
+    command: row for command, row in json.loads(BENCHMARK_EXPECTED.read_text()).items()
+    if command.startswith("hurwitz ")
+}
+
+
+def test_benchmark_names_four_hurwitz_commands():
+    assert len(HURWITZ_EXPECTED) == 4
+
+
+@pytest.mark.parametrize("command", sorted(HURWITZ_EXPECTED))
+def test_benchmark_hurwitz_stdout(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "covermotive.cli", *command.split()],
+        capture_output=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    row = HURWITZ_EXPECTED[command]
+    assert (proc.returncode, len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == (
+        row["exit"], row["bytes"], row["sha256"]
+    )

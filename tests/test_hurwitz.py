@@ -1,15 +1,19 @@
 """Product-one tuples, braid orbits and per-class counts of covermotive.hurwitz.
 
-braid_orbits is compared with the two-sided reference closure and with the
-classical orbit counts of hurwitz_oracle.py; the braid relations and the
-abelian transposition anchor that oracle's braid move, and the conjugation
-helpers are anchored to the conjugated product.
+braid_orbits reports each orbit by its least member and size.  It is compared
+with the two-sided reference closure, with Burnside's count of conjugation
+classes and with the classical orbit counts of hurwitz_oracle.py; where a test
+reads an orbit's members, it rebuilds them from the least member with the
+oracle's braid move.  The braid relations and the abelian transposition
+anchor that move, and the conjugation helpers are anchored to the conjugated
+product.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +28,7 @@ from hurwitz_oracle import (
     braid_generator,
     canonical_under_conjugation,
     conjugate_vector,
+    conjugation_class_count,
     generated_subgroup,
     generating_tuples,
     reference_orbits,
@@ -37,16 +42,37 @@ def _product(group, v):
     return acc
 
 
+def _members(group, least, mod=False):
+    """The orbit of least, closed under braid_generator alone.
+
+    A finite orbit of a permutation needs no inverse moves.  Mod conjugation
+    every image is read through the oracle's canonical form.
+    """
+    normalize = (lambda v: canonical_under_conjugation(group, v)) if mod else (lambda v: v)
+    reached = {least}
+    frontier = [least]
+    while frontier:
+        v = frontier.pop()
+        for i in range(1, len(v)):
+            w = normalize(braid_generator(group, v, i))
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
+SMALL_GROUPS = [build_cyclic(k) for k in range(1, 9)] + [
+    build_product_cyclic([2, 2]),
+    build_product_cyclic([2, 4]),
+    build_product_cyclic([2, 2, 2]),
+    build_dihedral(3),
+    build_dihedral(4),
+    build_symmetric(3),
+]
+
+
 def test_enumeration_count_and_product():
-    small_groups = [build_cyclic(k) for k in range(1, 9)] + [
-        build_product_cyclic([2, 2]),
-        build_product_cyclic([2, 4]),
-        build_product_cyclic([2, 2, 2]),
-        build_dihedral(3),
-        build_dihedral(4),
-        build_symmetric(3),
-    ]
-    for group in small_groups:
+    for group in SMALL_GROUPS:
         for n in range(1, 7):
             vectors = enumerate_hurwitz(group, n)
             assert len(vectors) == group.order ** (n - 1)
@@ -58,6 +84,8 @@ def test_enumeration_guards():
     s3 = build_symmetric(3)
     with pytest.raises(ValueError):
         enumerate_hurwitz(s3, 0)
+    with pytest.raises(ValueError):
+        braid_orbits(s3, 0)
 
 
 def test_braid_generator_preserves_invariants():
@@ -111,99 +139,111 @@ def test_conjugation_helpers():
 
 def test_orbits_z2_n4():
     g = build_cyclic(2)
-    orbits = braid_orbits(g, enumerate_hurwitz(g, 4))
-    assert [len(o) for o in orbits] == [1, 6, 1]
-    assert [o[0] for o in orbits] == [(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)]
+    orbits = braid_orbits(g, 4)
+    assert orbits == [((0, 0, 0, 0), 1), ((0, 0, 1, 1), 6), ((1, 1, 1, 1), 1)]
     # Abelian braid moves permute entries, so orbits are multiset classes.
-    for orbit in orbits:
-        assert {tuple(sorted(v)) for v in orbit} == {tuple(sorted(orbit[0]))}
+    for least, _ in orbits:
+        assert {tuple(sorted(v)) for v in _members(g, least)} == {tuple(sorted(least))}
 
 
 def test_orbits_s3():
     s3 = build_symmetric(3)
-    vectors = enumerate_hurwitz(s3, 3)
-    plain = braid_orbits(s3, vectors)
-    assert sorted(len(o) for o in plain) == [1, 1, 1, 3, 3, 3, 6, 18]
-    mod = braid_orbits(s3, vectors, mod_conjugation=True)
-    assert [len(o) for o in mod] == [1, 3, 3, 3, 1]
+    assert sorted(size for _, size in braid_orbits(s3, 3)) == [1, 1, 1, 3, 3, 3, 6, 18]
+    assert [size for _, size in braid_orbits(s3, 3, True)] == [1, 3, 3, 3, 1]
 
 
 def test_orbit_partition_properties():
     s3 = build_symmetric(3)
-    vectors = enumerate_hurwitz(s3, 3)
-    orbits = braid_orbits(s3, vectors)
+    orbits = [_members(s3, least) for least, _ in braid_orbits(s3, 3)]
     flat = [v for o in orbits for v in o]
-    assert sorted(flat) == sorted(vectors)
+    assert sorted(flat) == enumerate_hurwitz(s3, 3)
     assert len(set(flat)) == len(flat)
 
 
 def test_orbits_idempotent_and_schedule_independent():
     s3 = build_symmetric(3)
-    vectors = enumerate_hurwitz(s3, 4)
-    orbits = braid_orbits(s3, vectors)
-    # Feeding the flattened partition back reproduces it exactly.
-    assert braid_orbits(s3, [v for o in orbits for v in o]) == orbits
-    # Input order cannot matter.
+    orbits = braid_orbits(s3, 4)
+    assert braid_orbits(s3, 4) == orbits
+    # Closing from any member, not only the least, gives the reported orbit.
     rng = random.Random(11)
-    shuffled = list(vectors)
-    for _ in range(3):
-        rng.shuffle(shuffled)
-        assert braid_orbits(s3, shuffled) == orbits
-    # Each orbit is closed, so it is its own partition.
-    for orbit in orbits[:4]:
-        assert braid_orbits(s3, orbit) == [orbit]
+    for least, size in orbits:
+        member = rng.choice(sorted(_members(s3, least)))
+        reached = _members(s3, member)
+        assert (min(reached), len(reached)) == (least, size)
 
 
 def test_orbits_mod_conjugation_commutes_with_closure():
     # Quotient of the full-orbit partition equals the partition of quotients,
     # with the quotient taken by the slow oracle.  D4 has a centre of order 2.
     for group, n in ((build_symmetric(3), 3), (build_symmetric(3), 5), (build_dihedral(4), 5)):
-        vectors = enumerate_hurwitz(group, n)
-        plain = braid_orbits(group, vectors)
-        collapsed = sorted(
-            sorted({canonical_under_conjugation(group, v) for v in o}) for o in plain
-        )
         merged: dict[tuple, set] = {}
-        for o in collapsed:
-            merged.setdefault(o[0], set()).update(o)
-        got = braid_orbits(group, vectors, mod_conjugation=True)
-        assert sorted(sorted(s) for s in merged.values()) == got
+        for least, _ in braid_orbits(group, n):
+            classes = {canonical_under_conjugation(group, v) for v in _members(group, least)}
+            merged.setdefault(min(classes), set()).update(classes)
+        got = braid_orbits(group, n, mod_conjugation=True)
+        assert sorted((min(s), len(s)) for s in merged.values()) == got
 
 
 def test_orbits_are_single_orbits_of_the_public_move():
-    # Every orbit is closed under braid_generator for each i, and is reached
-    # from its least member by forward moves alone: a finite orbit of a
-    # permutation needs no inverse moves.  Mod conjugation, the images are
-    # read through the oracle's canonical form.
+    # Each orbit, rebuilt from its least member by braid_generator alone, has
+    # that least member and the reported size, and the rebuilt orbits cover
+    # every tuple (mod conjugation, every class) once.
     for group, n in ((build_symmetric(3), 4), (build_dihedral(4), 4)):
-        vectors = enumerate_hurwitz(group, n)
         for mod in (False, True):
-            normalize = (
-                (lambda v: canonical_under_conjugation(group, v)) if mod else (lambda v: v)
-            )
-            orbits = braid_orbits(group, vectors, mod_conjugation=mod)
-            for orbit in orbits:
-                members = set(orbit)
-                reached = {orbit[0]}
-                frontier = [orbit[0]]
-                while frontier:
-                    v = frontier.pop()
-                    for i in range(1, n):
-                        w = normalize(braid_generator(group, v, i))
-                        assert w in members
-                        if w not in reached:
-                            reached.add(w)
-                            frontier.append(w)
-                assert reached == members
+            covered = []
+            for least, size in braid_orbits(group, n, mod_conjugation=mod):
+                members = _members(group, least, mod)
+                assert (min(members), len(members)) == (least, size)
+                covered += members
+            vectors = enumerate_hurwitz(group, n)
+            if mod:
+                vectors = {canonical_under_conjugation(group, v) for v in vectors}
+            assert sorted(covered) == sorted(vectors)
 
 
-@pytest.mark.parametrize("group, n", [(build_symmetric(3), 5), (build_dihedral(4), 5)], ids=["S3", "D4"])
+@pytest.mark.parametrize(
+    "group, n",
+    [(build_symmetric(3), 5), (build_dihedral(4), 5), (build_dihedral(5), 5), (build_cyclic(6), 5)],
+    ids=["S3", "D4", "D5", "C6"],
+)
 @pytest.mark.parametrize("mod", [False, True], ids=["plain", "mod-conj"])
 def test_orbits_match_two_sided_reference(group, n, mod):
     # The reference closes under sigma_i and sigma_i^{-1}, built one product
     # at a time, and canonicalizes by the slow oracle.
-    vectors = enumerate_hurwitz(group, n)
-    assert braid_orbits(group, vectors, mod_conjugation=mod) == reference_orbits(group, vectors, mod)
+    reference = reference_orbits(group, enumerate_hurwitz(group, n), mod)
+    assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
+
+
+def test_small_cyclic_orbits_match_two_sided_reference():
+    # The degenerate index: one digit weight or none, and C1's single tuple.
+    for k, n, mod in itertools.product((1, 2, 3), (1, 2, 3, 4), (False, True)):
+        group = build_cyclic(k)
+        reference = reference_orbits(group, enumerate_hurwitz(group, n), mod)
+        assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
+
+
+def test_orbit_sizes_partition_the_tuples():
+    # Plain orbits partition the order^(n-1) tuples; mod conjugation they
+    # partition the conjugation classes of tuples, counted by Burnside.
+    for group, n in itertools.product(SMALL_GROUPS, range(1, 5)):
+        assert sum(size for _, size in braid_orbits(group, n)) == group.order ** (n - 1)
+        classes = conjugation_class_count(group, enumerate_hurwitz(group, n))
+        assert sum(size for _, size in braid_orbits(group, n, True)) == classes
+
+
+def test_orbits_hold_no_tuple_list():
+    # The closure holds a byte per tuple and one orbit's stack of indices:
+    # 0.05 MiB of traced peak for these 10^4 tuples, where listing them and
+    # closing over sets of them peaked at 2.2 MiB.  n = 6 shows the same
+    # (0.4 against 22.4 MiB) but runs ten times longer under tracemalloc.
+    group = build_dihedral(5)
+    tracemalloc.start()
+    try:
+        braid_orbits(group, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 * 4 // 10
 
 
 @pytest.mark.parametrize(
@@ -223,7 +263,8 @@ def test_orbit_invariants(group, n, mod):
             return frozenset(sub)
         return min(tuple(sorted(conjugate_vector(group, h, sub))) for h in range(group.order))
 
-    for orbit in braid_orbits(group, enumerate_hurwitz(group, n), mod_conjugation=mod):
+    for least, _ in braid_orbits(group, n, mod_conjugation=mod):
+        orbit = _members(group, least, mod)
         assert all(_product(group, v) == group.identity for v in orbit)
         assert len({tuple(sorted(conj.class_of[g] for g in v)) for v in orbit}) == 1
         assert len({subgroup(v) for v in orbit}) == 1
@@ -243,11 +284,17 @@ def test_clebsch_hurwitz_single_orbit(d, n, count):
     # generating product-one tuples of n transpositions in S_d.  At n = 2d - 2
     # (genus 0) the count is Hurwitz's d^(d-3) (2d-2)!; 240 is the Frobenius
     # count 3^6/6 * 2 = 243 less the 3 constant tuples.  S4 at n = 8 (131,040
-    # tuples, about 5 s) is left out for time.
+    # tuples, about 5 s) is left out for time.  The tuples are one orbit of
+    # the product-one tuples, so their least member names an orbit of that size.
+    # S4 at n = 6 would scan 24^5 indices, too slow here: that row is checked
+    # on the reference closure of the tuples alone.
     group = build_symmetric(d)
     tuples = generating_tuples(group, n, _transpositions(group, d))
     assert len(tuples) == count
-    assert braid_orbits(group, tuples) == [sorted(tuples)]
+    if group.order ** (n - 1) > 10**6:
+        assert reference_orbits(group, tuples) == [sorted(tuples)]
+    else:
+        assert dict(braid_orbits(group, n))[min(tuples)] == len(tuples)
 
 
 @pytest.mark.parametrize(
@@ -262,31 +309,19 @@ def test_dihedral_one_orbit_per_class_multiset(k, n, types):
     # irreducible; whether their equivalence is by inner or by all
     # automorphisms is not checked here, so the numbers of multisets are
     # pinned as regression values, not as that theorem.
+    # A braid move keeps generation and the class multiset, so an orbit holds
+    # such tuples exactly when its least member is one.
     group = build_dihedral(k)
     conj = group.conj
     pool = [g for g in range(group.order) if g != group.identity]
-    orbits = braid_orbits(group, generating_tuples(group, n, pool), mod_conjugation=True)
-    multisets = [{tuple(sorted(conj.class_of[g] for g in v)) for v in orbit} for orbit in orbits]
-    assert all(len(m) == 1 for m in multisets)
-    assert len({m.pop() for m in multisets}) == len(orbits) == types
-
-
-def test_orbits_reject_non_closed_input():
-    g = build_cyclic(2)
-    with pytest.raises(ValueError):
-        braid_orbits(g, [(0, 0, 1, 1)])
-
-
-def test_orbits_mod_conjugation_reject_non_closed_input():
-    s3 = build_symmetric(3)
-    orbit = max(braid_orbits(s3, enumerate_hurwitz(s3, 3), mod_conjugation=True), key=len)
-    assert len(orbit) == 3
-    # A whole conjugation class of vectors, but only one of its braid images.
-    v = orbit[0]
-    with pytest.raises(ValueError):
-        braid_orbits(s3, [conjugate_vector(s3, h, v) for h in range(6)], mod_conjugation=True)
-    with pytest.raises(ValueError):
-        braid_orbits(s3, orbit[1:], mod_conjugation=True)
+    tuples = generating_tuples(group, n, pool)
+    orbits = [
+        (least, size) for least, size in braid_orbits(group, n, mod_conjugation=True)
+        if group.identity not in least and len(generated_subgroup(group, least)) == group.order
+    ]
+    assert sum(size for _, size in orbits) == conjugation_class_count(group, tuples)
+    multisets = {tuple(sorted(conj.class_of[g] for g in least)) for least, _ in orbits}
+    assert len(multisets) == len(orbits) == types
 
 
 def test_nielsen_count_abelian_is_indicator():
