@@ -13,12 +13,11 @@ dihedral:4, symmetric:3) or as a JSON spec file via --group-file, never both;
 every command but trees needs one.  A spec takes JSON integers only (no
 bools, floats, strings or null), no key but the one spec kind and an optional
 "schema", which must be 1, and a builtin spec no key but kind and params.
-Integers on the command line (--n, builtin params, --marking ids and
-COVERMOTIVE_CAP) are ASCII digits with an optional leading '-'.  class
---marking and --per-marking exclude each other, and hurwitz --mod-conj needs
---orbits.  All output is byte-deterministic for a fixed input.  The
-environment variable COVERMOTIVE_CAP overrides the enumeration caps; it may
-lower the stable tree cap but never raise it.
+Integers on the command line (--n, builtin params and --marking ids) are
+ASCII digits with an optional leading '-'.  class --marking and
+--per-marking exclude each other, and hurwitz --mod-conj needs --orbits.
+All output is byte-deterministic for a fixed input.  The enumeration caps
+are the constants STABLE_TREE_CAP, MARKING_CAP and TUPLE_CAP.
 
 class, verify and trees --group read one Calculator, which _calculator builds
 once every cap has passed; the census lines of class and trees come from one
@@ -67,21 +66,17 @@ def integer(text: str) -> int:
 
 
 STABLE_TREE_CAP = 9
-DEFAULT_MARKING_CAP = 2_000_000
-DEFAULT_TUPLE_CAP = 10**8
+MARKING_CAP = 2_000_000
+TUPLE_CAP = 10**8
 
 
-def _cap_override(default: int) -> int:
-    raw = os.environ.get("COVERMOTIVE_CAP")
-    if raw is None:
-        return default
-    try:
-        value = integer(raw)
-    except ValueError:
-        raise MalformedSpec(f"COVERMOTIVE_CAP must be an integer, got {raw!r}")
-    if value < 1:
-        raise MalformedSpec(f"COVERMOTIVE_CAP must be positive, got {value}")
-    return value
+def _exceeds(base: int, exp: int, factor: int, cap: int) -> bool:
+    """Whether base ** exp * factor > cap.
+
+    base ** cap.bit_length() > cap whenever base > 1, so clamping the
+    exponent there decides the same way without building a huge integer.
+    """
+    return base ** min(exp, cap.bit_length()) * factor > cap
 
 
 def _require_n(args, least: int) -> None:
@@ -206,11 +201,9 @@ def _parse_marking(text: str, n: int) -> tuple[int, ...]:
 
 
 def _check_tree_cap(n: int) -> None:
-    """Refuse n above the stable tree cap, which COVERMOTIVE_CAP may lower."""
-    cap = min(STABLE_TREE_CAP, _cap_override(STABLE_TREE_CAP))
-    if n > cap:
+    if n > STABLE_TREE_CAP:
         raise SizeLimit(
-            f"n = {n} exceeds stable tree cap {cap} (outputs are checked against "
+            f"n = {n} exceeds stable tree cap {STABLE_TREE_CAP} (outputs are checked against "
             f"Keel's closed form through n = {STABLE_TREE_CAP})"
         )
 
@@ -228,11 +221,8 @@ def _calculator(args) -> Calculator:
     _require_n(args, 3)
     group = _load_group(args)
     ncls = group.conj.count
-    cap = _cap_override(DEFAULT_MARKING_CAP)
-    # ncls ** cap.bit_length() > cap whenever ncls > 1, so the clamped power
-    # decides the same way without building a huge integer.
-    if ncls ** min(args.n, cap.bit_length()) > cap:
-        raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {cap}")
+    if _exceeds(ncls, args.n, 1, MARKING_CAP):
+        raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {MARKING_CAP}")
     _check_tree_cap(args.n)
     return Calculator(group)
 
@@ -313,23 +303,29 @@ def cmd_hurwitz(args) -> int:
         raise MalformedSpec("--mod-conj needs --orbits")
     _require_n(args, 1)
     group = _load_group(args)
-    cap = _cap_override(DEFAULT_TUPLE_CAP)
-    # Bound: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1):
-    # the closure decodes each tuple once and makes its n-1 braid moves.  The
-    # power is clamped as in _calculator, so a large n builds no huge integer.
-    work = group.order ** min(args.n - 1, cap.bit_length()) * args.n
-    moves = ""
+    order, n = group.order, args.n
+    # Work: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1):
+    # the closure decodes each tuple once and makes its n-1 braid moves.
+    factor, count = n, f"{order}^{n - 1} tuples of length {n}"
     if args.orbits:
-        work *= 2 * (args.n - 1)
-        moves = f", times 2(n-1) = {2 * (args.n - 1)} for orbits,"
-    if work > cap:
-        raise SizeLimit(
-            f"{group.order}^{args.n - 1} tuples of length {args.n}{moves} exceed tuple cap {cap}"
-        )
+        factor *= 2 * (n - 1)
+        count += f", times 2(n-1) = {2 * (n - 1)} for orbits,"
+    over = _exceeds(order, n - 1, factor, TUPLE_CAP)
+    if args.mod_conj and not over:
+        # Each class of tuples that the closure reaches marks its |G : Z(G)|
+        # conjugates, a sum of n-1 terms each: by Burnside, n-1 times the sum
+        # over h in G of |C(h)|^(n-1), |C(h)| = order/|c| for h in class c,
+        # over |Z|.  Past the check above, these powers fit the cap.
+        sizes = group.conj.sizes
+        marks = (n - 1) * sum(s * (order // s) ** (n - 1) for s in sizes) // sizes.count(1)
+        count += f" plus {marks} conjugate marks,"
+        over = order ** (n - 1) * factor + marks > TUPLE_CAP
+    if over:
+        raise SizeLimit(f"{count} exceed tuple cap {TUPLE_CAP}")
     # The last entry is forced by the first n - 1, so the count needs no list.
-    print(f"product-one tuples for {group.name}, n = {args.n}: {group.order ** (args.n - 1)}")
+    print(f"product-one tuples for {group.name}, n = {n}: {order ** (n - 1)}")
     if args.orbits:
-        orbits = braid_orbits(group, args.n, args.mod_conj)
+        orbits = braid_orbits(group, n, args.mod_conj)
         print(f"braid orbits{' mod conjugation' if args.mod_conj else ''}: {len(orbits)}")
         print("orbit,size,representative")
         for idx, (least, size) in enumerate(orbits):

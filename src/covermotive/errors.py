@@ -15,7 +15,7 @@ class CoverMotiveError(Exception):
 
 class MalformedSpec(CoverMotiveError):
     """An outside input is malformed or out of range: a group spec, a degree,
-    a marking, a flag combination or COVERMOTIVE_CAP."""
+    a marking or a flag combination."""
 
 
 class NotAGroup(CoverMotiveError):

@@ -13,8 +13,9 @@ lexicographic order.  With rows[h][g] = h g h^{-1}, sigma_i sends (a, b) to
 entry.  Each sigma_i permutes the finite set of tuples, so the closure of a
 seed under the forward moves is its whole orbit, and seeds scanned in index
 order each start an orbit at its least member.  Conjugation commutes with
-every braid move, so mod conjugation reaching a tuple marks all |G| of its
-conjugates as seen, and the scan meets each class first at its least member.
+every braid move, so mod conjugation reaching a tuple marks its conjugates
+as seen, one per inner automorphism (h and hz, z central, conjugate alike),
+and the scan meets each class first at its least member.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def braid_orbits(
     order, table, inverse = group.order, group.table, group.inverse
     rows = [tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)]
     weights = [order ** (n - 2 - j) for j in range(n - 1)] + [0]
-    # terms[j][g]: what entry j = g adds to the index of each of its |G| conjugates.
-    terms = [[tuple(row[g] * w for row in rows) for g in range(order)] for w in weights[:-1]]
+    inner = dict.fromkeys(rows)
+    # terms[j][g]: what entry j = g adds to the index of each of its conjugates.
+    terms = [[tuple(row[g] * w for row in inner) for g in range(order)] for w in weights[:-1]]
     seen = bytearray(order ** (n - 1))
 
     def vector(x: int) -> list[int]:

@@ -116,7 +116,7 @@ def format_poly(coeffs: tuple[int, ...], head: Callable[[int], str]) -> str:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 def class_m0n(n: int) -> MotivePoly:

@@ -17,6 +17,8 @@ import covermotive.cli as cli
 import covermotive.errors as errors
 import covermotive.smodules as smodules
 from covermotive.cli import main
+from covermotive.groups import build_group
+from covermotive.hurwitz import braid_orbits
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -297,7 +299,7 @@ def test_hurwitz_counts_without_listing(line, out, capsys, monkeypatch):
 # Every refusal of the command line: id: (argv, exit code, a fragment of the
 # last stderr line[, the text of the group file that FILE in argv names]).
 # argv is a command line, or a list of arguments where one holds a space.
-# A leading COVERMOTIVE_CAP=k sets that variable for the run.
+# A leading NAME=k sets the cap cli.NAME to k for the run.
 GROUP_FILE = "group --group-file FILE"
 REFUSALS = {
     "no-group": ("group", 2, "one of the arguments --group --group-file is required"),
@@ -358,10 +360,15 @@ REFUSALS = {
     "verify-marking-cap": ("verify --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
     "trees-marking-cap": ("trees --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
     # C1 has one tuple per degree, so only the tuples' length can refuse it;
-    # C2's 8 tuples of length 4 fit a cap of 100, their 6 braid moves each do not.
+    # C50's 50^4 tuples of length 5 fit the cap, their 8 braid moves each do
+    # not.  C160's 160^3 tuples of length 4 and their 6 braid moves each fit
+    # it (9.8e7), and their 3 * 160^3 conjugate marks do not.
     "hurwitz-length-cap": ("hurwitz --group cyclic:1 --n 32000 --orbits", 3, "exceed tuple cap"),
-    "hurwitz-orbits-cap": (
-        "COVERMOTIVE_CAP=100 hurwitz --group cyclic:2 --n 4 --orbits", 3, "= 6 for orbits, exceed"
+    "hurwitz-orbits-cap": ("hurwitz --group cyclic:50 --n 5 --orbits", 3, "= 8 for orbits, exceed"),
+    "hurwitz-marks-cap": (
+        "hurwitz --group cyclic:160 --n 4 --orbits --mod-conj", 3,
+        "160^3 tuples of length 4, times 2(n-1) = 6 for orbits, plus 12288000 conjugate marks, "
+        "exceed tuple cap 100000000",
     ),
     # A base above 1 to a huge power: the checks clamp the exponent, so they
     # refuse at once instead of building the power as an integer.
@@ -372,13 +379,9 @@ REFUSALS = {
         "hurwitz --group cyclic:3 --n 30000000", 3,
         "3^29999999 tuples of length 30000000 exceed tuple cap",
     ),
-    "marking-cap-env": ("COVERMOTIVE_CAP=16 class --group cyclic:2 --n 5", 3, "marking cap 16"),
-    "tree-cap-env": ("COVERMOTIVE_CAP=4 trees --n 5", 3, "n = 5 exceeds stable tree cap 4"),
-    "cap-env-not-a-number": ("COVERMOTIVE_CAP=x trees --n 4", 2, "must be an integer"),
     # Integers that int() reads, spelt with an underscore, a '+', a space or
     # a non-ASCII digit: the command line takes ASCII digits and a leading '-'.
     "builtin-underscore": ("group --group cyclic:1_0", 2, "must be integers, got '1_0'"),
-    "cap-env-underscore": ("COVERMOTIVE_CAP=1_000 trees --n 4", 2, "integer, got '1_000'"),
     "marking-plus": ("class --group cyclic:2 --n 4 --marking 1,1,+1,1", 2, "got '1,1,+1,1'"),
     "marking-space": (
         ["class", "--group", "cyclic:2", "--n", "4", "--marking", "1,1,1, 1"], 2, "got '1,1,1, 1'"
@@ -386,19 +389,15 @@ REFUSALS = {
     "marking-non-ascii": ("class --group cyclic:2 --n 4 --marking \u0661,1,1,1", 2,
                           "class ids, got '\u0661,1,1,1'"),
     "n-non-ascii": ("trees --n \u0664", 2, "argument --n: invalid integer value: '\u0664'"),
-    # The override may lower the tree cap but never lift it.
-    "cap-env-cannot-lift-trees": ("COVERMOTIVE_CAP=1000 trees --n 12", 3, "stable tree cap 9"),
-    "cap-env-cannot-lift-verify": (
-        "COVERMOTIVE_CAP=1000 verify --group cyclic:1 --n 12 --all-props", 3, "stable tree cap 9"
-    ),
 }
 
 
 def _argv(line: str | list[str], monkeypatch) -> list[str]:
-    """Split a command line, setting a leading COVERMOTIVE_CAP=k."""
+    """Split a command line, setting the cap a leading NAME=k names."""
     argv = line.split() if isinstance(line, str) else list(line)
-    if argv[0].startswith("COVERMOTIVE_CAP="):
-        monkeypatch.setenv("COVERMOTIVE_CAP", argv.pop(0).partition("=")[2])
+    if "=" in argv[0]:
+        name, _, value = argv.pop(0).partition("=")
+        monkeypatch.setattr(cli, name, int(value))
     return argv
 
 
@@ -454,8 +453,13 @@ def test_inexact_division_exits_1(line, capsys, monkeypatch):
     [
         "trees --group cyclic:3 --n 9",  # 3^9 class tuples
         "hurwitz --group cyclic:1 --n 50 --orbits",
-        "COVERMOTIVE_CAP=100 hurwitz --group cyclic:2 --n 4",  # no braid moves
-        "COVERMOTIVE_CAP=16 class --group cyclic:2 --n 4",  # 2^4 class tuples
+        "hurwitz --group cyclic:50 --n 5",  # 50^4 tuples of length 5, no braid moves
+        # Each count exactly at its cap: 2^3 tuples of length 4, 2^4 class
+        # tuples, and D4's 8^2 tuples of length 3 with their 4 braid moves
+        # each and 2 * 28 * 4 conjugate marks.
+        "TUPLE_CAP=32 hurwitz --group cyclic:2 --n 4",
+        "MARKING_CAP=16 class --group cyclic:2 --n 4",
+        "TUPLE_CAP=992 hurwitz --group dihedral:4 --n 3 --orbits --mod-conj",
     ],
 )
 def test_caps_admit_what_fits(line, capsys, monkeypatch):
@@ -463,11 +467,30 @@ def test_caps_admit_what_fits(line, capsys, monkeypatch):
     assert (code, err, bool(out)) == (0, "", True)
 
 
+@pytest.mark.parametrize("kind, k, n", [("dihedral", 4, 4), ("symmetric", 3, 3), ("cyclic", 6, 3)])
+def test_tuple_cap_counts_the_conjugate_marks(kind, k, n, capsys, monkeypatch):
+    # Mod conjugation the closure reaches each conjugation class of tuples
+    # once and marks one conjugate per distinct conjugation map, each a sum
+    # of n - 1 terms: with the decoding and the braid moves, the cap admits
+    # exactly that count and refuses it one below.
+    group = build_group({"builtin": {"kind": kind, "params": [k]}})
+    order, table, inverse = group.order, group.table, group.inverse
+    maps = {tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)}
+    classes = sum(size for _, size in braid_orbits(group, n, True))
+    work = order ** (n - 1) * n * 2 * (n - 1) + (n - 1) * len(maps) * classes
+    argv = ["hurwitz", "--group", f"{kind}:{k}", "--n", str(n), "--orbits", "--mod-conj"]
+    monkeypatch.setattr(cli, "TUPLE_CAP", work)
+    assert _run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "TUPLE_CAP", work - 1)
+    code, _, err = _run(capsys, *argv)
+    assert code == 3 and "conjugate marks" in err
+
+
 def _child_env() -> dict[str, str]:
     """Environment for a child that imports the same package as this process."""
     package_root = str(Path(covermotive.__file__).resolve().parent.parent)
     path = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = {k: v for k, v in os.environ.items() if k != "COVERMOTIVE_CAP"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
     return env
 

@@ -231,6 +231,14 @@ def test_orbit_sizes_partition_the_tuples():
         assert sum(size for _, size in braid_orbits(group, n, True)) == classes
 
 
+def test_abelian_orbits_ignore_conjugation():
+    # Every conjugation map of an abelian group is the identity, so mod
+    # conjugation each tuple is its own class and the orbits are the plain ones.
+    groups = [build_cyclic(k) for k in range(1, 7)] + [build_product_cyclic([2, 2])]
+    for group, n in itertools.product(groups, range(1, 5)):
+        assert braid_orbits(group, n, True) == braid_orbits(group, n)
+
+
 def test_orbits_hold_no_tuple_list():
     # The closure holds a byte per tuple and one orbit's stack of indices:
     # 0.05 MiB of traced peak for these 10^4 tuples, where listing them and
