@@ -305,7 +305,8 @@ def cmd_hurwitz(args) -> int:
     group = _load_group(args)
     order, n = group.order, args.n
     # Work: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1):
-    # the closure decodes each tuple once and makes its n-1 braid moves.
+    # the closure makes each tuple's n-1 braid moves as index lookups, and
+    # decodes a tuple once per orbit and per --mod-conj class reached.
     factor, count = n, f"{order}^{n - 1} tuples of length {n}"
     if args.orbits:
         factor *= 2 * (n - 1)

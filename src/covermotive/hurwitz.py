@@ -8,14 +8,23 @@ identity.  The braid generator sigma_i replaces (g_i, g_{i+1}) by
 A product-one tuple is fixed by its first n - 1 entries; read as base-order
 digits they are its index, a bijection onto range(order^(n-1)) in
 lexicographic order.  With rows[h][g] = h g h^{-1}, sigma_i sends (a, b) to
-(c, a), c = rows[a][b], and so moves the index by (c - a) W[i-1] +
-(a - b) W[i] for the digit weights W, where W[n-1] = 0 for the forced last
-entry.  Each sigma_i permutes the finite set of tuples, so the closure of a
-seed under the forward moves is its whole orbit, and seeds scanned in index
-order each start an orbit at its least member.  Conjugation commutes with
-every braid move, so mod conjugation reaching a tuple marks its conjugates
-as seen, one per inner automorphism (h and hz, z central, conjugate alike),
-and the scan meets each class first at its least member.
+(c, a), c = rows[a][b].  For i <= n - 2 both entries are digits, i - 1 and
+i, of weights W[i-1] = order W[i]: x // W[i] % order^2 is the pair code
+a order + b, and the index moves by W[i] ((c - a) order + a - b), one lookup
+in a list of order^2 steps.  sigma_{n-1} acts on digit n - 2, a, and on
+the forced last entry b = (P a)^{-1}, where P is the product of the first
+n - 2 entries; then c = (a P)^{-1}.  head[q] is P for the index q of those
+entries, so with q, r = divmod(x, order) the index moves by
+tail[r order + head[q]], tail[a order + P] = (a P)^{-1} - a.  (Reading P a
+there would give sigma_{n-1}^{-1}, whose orbits are the same.)  A tuple's
+entries are decoded only to report its orbit's least member, and mod
+conjugation to mark its conjugates.  Each sigma_i permutes the finite set of
+tuples, so the closure of a seed under the forward moves is its whole orbit,
+and seeds scanned in index order each start an orbit at its least member.
+Conjugation commutes with every braid move, so mod conjugation reaching a
+tuple marks its conjugates as seen, one per inner automorphism (h and hz, z
+central, conjugate alike), and the scan meets each class first at its least
+member.
 """
 
 from __future__ import annotations
@@ -51,21 +60,34 @@ def braid_orbits(
     """The braid orbits of the product-one n-tuples as (least member, size), sorted.
 
     With mod_conjugation the size counts conjugation classes of tuples.  The
-    closure holds order^(n-1) bytes, which the command line bounds.
+    closure holds order^(n-1) bytes and order^(n-2) prefix products, which
+    the command line bounds.
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
+    if n == 1:
+        return [((group.identity,), 1)]
     order, table, inverse = group.order, group.table, group.inverse
     rows = [tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)]
-    weights = [order ** (n - 2 - j) for j in range(n - 1)] + [0]
+    weights = [order ** (n - 2 - j) for j in range(n - 1)]
     inner = dict.fromkeys(rows)
     # terms[j][g]: what entry j = g adds to the index of each of its conjugates.
-    terms = [[tuple(row[g] * w for row in inner) for g in range(order)] for w in weights[:-1]]
+    terms = [[tuple(row[g] * w for row in inner) for g in range(order)] for w in weights]
     seen = bytearray(order ** (n - 1))
+    # pairs: (W[i], sigma_i's index step by pair code) for i = 1..n-2.
+    square = order * order
+    step = [(rows[a][b] - a) * order + a - b for a in range(order) for b in range(order)]
+    pairs = [(w, [w * s for s in step]) for w in weights[1:]]
+    # head[q]: the product P of the first n - 2 entries of index q, and
+    # tail[a order + P]: sigma_{n-1}'s index step, (a P)^{-1} - a.
+    head = [group.identity]
+    for _ in range(n - 2):
+        head = [p for h in head for p in table[h]]
+    tail = [inverse[p] - a for a in range(order) for p in table[a]]
 
     def vector(x: int) -> list[int]:
         v, acc = [], group.identity
-        for w in weights[:-1]:
+        for w in weights:
             g, x = divmod(x, w)
             v.append(g)
             acc = table[acc][g]
@@ -87,15 +109,20 @@ def braid_orbits(
         while stack:
             x = stack.pop()
             size += 1
-            v = vector(x)
-            for i, (a, b) in enumerate(zip(v, v[1:]), 1):
-                c = rows[a][b]
-                y = x + (c - a) * weights[i - 1] + (a - b) * weights[i]
+            for w, d in pairs:
+                y = x + d[x // w % square]
                 if not seen[y]:
                     seen[y] = 1
                     if mod_conjugation:
-                        mark_conjugates(v[: i - 1] + [c, a] + v[i + 1 :])
+                        mark_conjugates(vector(y))
                     stack.append(y)
+            q, r = divmod(x, order)
+            y = x + tail[r * order + head[q]]
+            if not seen[y]:
+                seen[y] = 1
+                if mod_conjugation:
+                    mark_conjugates(vector(y))
+                stack.append(y)
         orbits.append((tuple(vector(start)), size))
     return orbits
 

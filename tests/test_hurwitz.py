@@ -222,6 +222,15 @@ def test_small_cyclic_orbits_match_two_sided_reference():
         assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
 
 
+@pytest.mark.parametrize("group", [build_symmetric(3), build_dihedral(4)], ids=["S3", "D4"])
+def test_small_nonabelian_orbits_match_two_sided_reference(group):
+    # sigma_{n-1} reads the product of the first n - 2 entries: none at n = 2,
+    # one at n = 3.  Only a nonabelian group tells a b a^{-1} from b there.
+    for n, mod in itertools.product((1, 2, 3, 4), (False, True)):
+        reference = reference_orbits(group, enumerate_hurwitz(group, n), mod)
+        assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
+
+
 def test_orbit_sizes_partition_the_tuples():
     # Plain orbits partition the order^(n-1) tuples; mod conjugation they
     # partition the conjugation classes of tuples, counted by Burnside.
@@ -240,18 +249,20 @@ def test_abelian_orbits_ignore_conjugation():
 
 
 def test_orbits_hold_no_tuple_list():
-    # The closure holds a byte per tuple and one orbit's stack of indices:
-    # 0.05 MiB of traced peak for these 10^4 tuples, where listing them and
-    # closing over sets of them peaked at 2.2 MiB.  n = 6 shows the same
-    # (0.4 against 22.4 MiB) but runs ten times longer under tracemalloc.
+    # The closure holds a byte per tuple, its move tables and one orbit's
+    # stack of indices: 0.07 MiB of traced peak for these 10^4 tuples, 0.13
+    # MiB mod conjugation, where listing them and closing over sets of them
+    # peaked at 2.2 MiB.  n = 6 shows the same (0.5 against 22.4 MiB) but
+    # runs ten times longer under tracemalloc.
     group = build_dihedral(5)
-    tracemalloc.start()
-    try:
-        braid_orbits(group, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20 * 4 // 10
+    for mod in (False, True):
+        tracemalloc.start()
+        try:
+            braid_orbits(group, 5, mod)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 * 4 // 10, mod
 
 
 @pytest.mark.parametrize(

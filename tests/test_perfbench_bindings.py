@@ -51,8 +51,7 @@ WANTED = sorted({*RUN.SUMMED, *(name for pair in RUN.RATIOS.values() for name in
     ids=["strata", "recursion", "census", "hurwitz"],
 )
 def test_tracer_reports_every_layer(command):
-    env = {k: v for k, v in os.environ.items() if k != "COVERMOTIVE_CAP"}
-    env["PYTHONPATH"] = str(SRC)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "trace_child.py"), *command.split()],
         capture_output=True,
