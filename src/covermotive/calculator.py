@@ -163,12 +163,10 @@ class Calculator:
         self._sweeps[n] = sweep
         return sweep
 
-    def per_marking(self, n: int) -> dict[tuple[int, ...], MotivePoly]:
-        """Every product-one marking of degree n with its class: each prefix
-        of n - 1 classes closed by the class of its inverse product."""
-        strata = self.sweep(n).strata
-        prefixes = itertools.product(range(self.conj.count), repeat=n - 1)
-        return dict.fromkeys(self._closed(prefixes), strata)
+    def per_marking(self, n: int) -> Iterator[tuple[int, ...]]:
+        """Every product-one marking of degree n, each carrying sweep(n).strata:
+        each prefix of n - 1 classes closed by the class of its inverse product."""
+        return self._closed(itertools.product(range(self.conj.count), repeat=n - 1))
 
     def class_bbar(self, n: int) -> MotivePoly:
         return self.sweep(n).total

@@ -306,19 +306,20 @@ def cmd_hurwitz(args) -> int:
     order, n = group.order, args.n
     # Work: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1):
     # the closure makes each tuple's n-1 braid moves as index lookups, and
-    # decodes a tuple once per orbit and per --mod-conj class reached.
+    # decodes a tuple once per orbit and per --mod-conj class counted.
     factor, count = n, f"{order}^{n - 1} tuples of length {n}"
     if args.orbits:
         factor *= 2 * (n - 1)
         count += f", times 2(n-1) = {2 * (n - 1)} for orbits,"
     over = _exceeds(order, n - 1, factor, TUPLE_CAP)
     if args.mod_conj and not over:
-        # Each class of tuples that the closure reaches marks its |G : Z(G)|
-        # conjugates, a sum of n-1 terms each: by Burnside, n-1 times the sum
-        # over h in G of |C(h)|^(n-1), |C(h)| = order/|c| for h in class c,
-        # over |Z|.  Past the check above, these powers fit the cap.
+        # Each class of tuples that the closure counts marks its |G : Z(G)| - 1
+        # other conjugates, a sum of n-1 terms each; none on an abelian group.
+        # By Burnside the classes are the sum over h in G of |C(h)|^(n-1) over
+        # |G|, |C(h)| = order/|c| for h in class c; past the check above, these fit.
         sizes = group.conj.sizes
-        marks = (n - 1) * sum(s * (order // s) ** (n - 1) for s in sizes) // sizes.count(1)
+        classes = sum(s * (order // s) ** (n - 1) for s in sizes) // order
+        marks = (n - 1) * classes * (order // sizes.count(1) - 1)
         count += f" plus {marks} conjugate marks,"
         over = order ** (n - 1) * factor + marks > TUPLE_CAP
     if over:

@@ -21,10 +21,12 @@ entries are decoded only to report its orbit's least member, and mod
 conjugation to mark its conjugates.  Each sigma_i permutes the finite set of
 tuples, so the closure of a seed under the forward moves is its whole orbit,
 and seeds scanned in index order each start an orbit at its least member.
-Conjugation commutes with every braid move, so mod conjugation reaching a
-tuple marks its conjugates as seen, one per inner automorphism (h and hz, z
-central, conjugate alike), and the scan meets each class first at its least
-member.
+Mod conjugation, a popped tuple that no counted tuple has marked is counted
+and marks its conjugates, one per inner automorphism but the identity (h
+and hz, z central, conjugate alike).  Conjugation commutes with every braid
+move, so a skipped conjugate's moves are conjugates of the counted tuple's,
+and every mod-conjugation orbit is untouched until the scan reaches its
+least member.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def braid_orbits(
 ) -> list[tuple[tuple[int, ...], int]]:
     """The braid orbits of the product-one n-tuples as (least member, size), sorted.
 
-    With mod_conjugation the size counts conjugation classes of tuples.  The
-    closure holds order^(n-1) bytes and order^(n-2) prefix products, which
-    the command line bounds.
+    With mod_conjugation the size counts conjugation classes of tuples, each
+    counted as it marks its conjugates.  The closure holds order^(n-1) bytes
+    and order^(n-2) prefix products, which the command line bounds.
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
@@ -70,9 +72,10 @@ def braid_orbits(
     order, table, inverse = group.order, group.table, group.inverse
     rows = [tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)]
     weights = [order ** (n - 2 - j) for j in range(n - 1)]
-    inner = dict.fromkeys(rows)
+    # The conjugation maps but the identity's, which is every central element's.
+    inner = set(rows) - {rows[group.identity]} if mod_conjugation else ()
     # terms[j][g]: what entry j = g adds to the index of each of its conjugates.
-    terms = [[tuple(row[g] * w for row in inner) for g in range(order)] for w in weights]
+    terms = [[tuple(row[g] * w for row in inner) for g in range(order)] for w in weights if inner]
     seen = bytearray(order ** (n - 1))
     # pairs: (W[i], sigma_i's index step by pair code) for i = 1..n-2.
     square = order * order
@@ -94,34 +97,29 @@ def braid_orbits(
         v.append(inverse[acc])
         return v
 
-    def mark_conjugates(v: list[int]) -> None:
-        for x in map(sum, zip(*map(getitem, terms, v))):
-            seen[x] = 1
-
     orbits = []
     for start in range(len(seen)):
         if seen[start]:
             continue
         seen[start] = 1
-        if mod_conjugation:
-            mark_conjugates(vector(start))
         stack, size = [start], 0
         while stack:
             x = stack.pop()
+            if terms:
+                if seen[x] == 2:  # a conjugate of a tuple already counted
+                    continue
+                for y in map(sum, zip(*map(getitem, terms, vector(x)))):
+                    seen[y] = 2
             size += 1
             for w, d in pairs:
                 y = x + d[x // w % square]
                 if not seen[y]:
                     seen[y] = 1
-                    if mod_conjugation:
-                        mark_conjugates(vector(y))
                     stack.append(y)
             q, r = divmod(x, order)
             y = x + tail[r * order + head[q]]
             if not seen[y]:
                 seen[y] = 1
-                if mod_conjugation:
-                    mark_conjugates(vector(y))
                 stack.append(y)
         orbits.append((tuple(vector(start)), size))
     return orbits

@@ -249,9 +249,9 @@ def compose(x: SModClass, w: SModClass, degrees: Iterable[int]) -> SModClass:
 def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
     """The three recursion terms of calc at degree n, computed tuple by tuple.
 
-    The open part is enumerated over all |B|^m tuples, the tails are the
-    lower-degree stratification classes of calc.per_marking, and the terms are
-    summed over the atoms of compose and day_convolve above.
+    The open part is enumerated over all |B|^m tuples, the tails carry the
+    lower-degree sweep class on each marking of calc.per_marking, and the terms
+    are summed over the atoms of compose and day_convolve above.
     """
     from covermotive.hurwitz import nielsen_count
     from covermotive.motives import ZERO, class_m0n
@@ -264,9 +264,9 @@ def oracle_terms(calc, n: int) -> tuple[MotivePoly, MotivePoly, MotivePoly]:
         if nielsen_count(group, cvec) == 1
     )
     bbar = SModClass(
-        Atom(cvec, (), cls, 1)
+        Atom(cvec, (), calc.sweep(k).strata, 1)
         for k in range(3, n)
-        for cvec, cls in calc.per_marking(k).items()
+        for cvec in calc.per_marking(k)
     )
     dbar = shift_root(bbar, group)
     iota = group.conj.involution

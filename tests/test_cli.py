@@ -361,13 +361,15 @@ REFUSALS = {
     "trees-marking-cap": ("trees --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
     # C1 has one tuple per degree, so only the tuples' length can refuse it;
     # C50's 50^4 tuples of length 5 fit the cap, their 8 braid moves each do
-    # not.  C160's 160^3 tuples of length 4 and their 6 braid moves each fit
-    # it (9.8e7), and their 3 * 160^3 conjugate marks do not.
+    # not.  D63's 126^3 tuples of length 4 and their 6 braid moves each fit
+    # it (4.8e7), and with them the 3 * 125 conjugate marks of each of its
+    # 138,919 classes of tuples do not.  C160 has no marks to refuse it
+    # (test_tuple_cap_admits_abelian_orbits_mod_conjugation).
     "hurwitz-length-cap": ("hurwitz --group cyclic:1 --n 32000 --orbits", 3, "exceed tuple cap"),
     "hurwitz-orbits-cap": ("hurwitz --group cyclic:50 --n 5 --orbits", 3, "= 8 for orbits, exceed"),
     "hurwitz-marks-cap": (
-        "hurwitz --group cyclic:160 --n 4 --orbits --mod-conj", 3,
-        "160^3 tuples of length 4, times 2(n-1) = 6 for orbits, plus 12288000 conjugate marks, "
+        "hurwitz --group dihedral:63 --n 4 --orbits --mod-conj", 3,
+        "126^3 tuples of length 4, times 2(n-1) = 6 for orbits, plus 52094625 conjugate marks, "
         "exceed tuple cap 100000000",
     ),
     # A base above 1 to a huge power: the checks clamp the exponent, so they
@@ -456,10 +458,11 @@ def test_inexact_division_exits_1(line, capsys, monkeypatch):
         "hurwitz --group cyclic:50 --n 5",  # 50^4 tuples of length 5, no braid moves
         # Each count exactly at its cap: 2^3 tuples of length 4, 2^4 class
         # tuples, and D4's 8^2 tuples of length 3 with their 4 braid moves
-        # each and 2 * 28 * 4 conjugate marks.
+        # each and 2 * 28 * 3 conjugate marks: 28 classes of tuples, each
+        # marking |D4 : Z(D4)| - 1 = 3 conjugates.
         "TUPLE_CAP=32 hurwitz --group cyclic:2 --n 4",
         "MARKING_CAP=16 class --group cyclic:2 --n 4",
-        "TUPLE_CAP=992 hurwitz --group dihedral:4 --n 3 --orbits --mod-conj",
+        "TUPLE_CAP=936 hurwitz --group dihedral:4 --n 3 --orbits --mod-conj",
     ],
 )
 def test_caps_admit_what_fits(line, capsys, monkeypatch):
@@ -469,21 +472,33 @@ def test_caps_admit_what_fits(line, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind, k, n", [("dihedral", 4, 4), ("symmetric", 3, 3), ("cyclic", 6, 3)])
 def test_tuple_cap_counts_the_conjugate_marks(kind, k, n, capsys, monkeypatch):
-    # Mod conjugation the closure reaches each conjugation class of tuples
-    # once and marks one conjugate per distinct conjugation map, each a sum
-    # of n - 1 terms: with the decoding and the braid moves, the cap admits
-    # exactly that count and refuses it one below.
+    # Mod conjugation the closure counts each conjugation class of tuples
+    # once and marks one conjugate per distinct conjugation map but the
+    # identity, each a sum of n - 1 terms: with the decoding and the braid
+    # moves, the cap admits exactly that count and refuses it one below.  A
+    # cyclic group has no map to mark with, so its refusal names no marks.
     group = build_group({"builtin": {"kind": kind, "params": [k]}})
     order, table, inverse = group.order, group.table, group.inverse
     maps = {tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)}
     classes = sum(size for _, size in braid_orbits(group, n, True))
-    work = order ** (n - 1) * n * 2 * (n - 1) + (n - 1) * len(maps) * classes
+    work = order ** (n - 1) * n * 2 * (n - 1) + (n - 1) * (len(maps) - 1) * classes
     argv = ["hurwitz", "--group", f"{kind}:{k}", "--n", str(n), "--orbits", "--mod-conj"]
     monkeypatch.setattr(cli, "TUPLE_CAP", work)
     assert _run(capsys, *argv)[0] == 0
     monkeypatch.setattr(cli, "TUPLE_CAP", work - 1)
     code, _, err = _run(capsys, *argv)
-    assert code == 3 and "conjugate marks" in err
+    assert code == 3 and ("conjugate marks" in err) == (len(maps) > 1)
+
+
+def test_tuple_cap_admits_abelian_orbits_mod_conjugation(capsys, monkeypatch):
+    # C160 has no conjugation map to mark with, so --mod-conj weighs what
+    # plain --orbits does: 160^3 tuples of length 4 and their 6 braid moves
+    # each, 9.8e7.  The closure is stubbed: tier-1 does not run 4e6 tuples.
+    calls = []
+    monkeypatch.setattr(cli, "braid_orbits", lambda *args: calls.append(args) or [])
+    code, out, err = _run(capsys, *"hurwitz --group cyclic:160 --n 4 --orbits --mod-conj".split())
+    assert (code, err) == (0, "") and out.startswith("product-one tuples for C160, n = 4: 4096000\n")
+    assert [(group.name, n, mod) for group, n, mod in calls] == [("C160", 4, True)]
 
 
 def _child_env() -> dict[str, str]:

@@ -250,10 +250,11 @@ def test_abelian_orbits_ignore_conjugation():
 
 def test_orbits_hold_no_tuple_list():
     # The closure holds a byte per tuple, its move tables and one orbit's
-    # stack of indices: 0.07 MiB of traced peak for these 10^4 tuples, 0.13
-    # MiB mod conjugation, where listing them and closing over sets of them
-    # peaked at 2.2 MiB.  n = 6 shows the same (0.5 against 22.4 MiB) but
-    # runs ten times longer under tracemalloc.
+    # stack of indices: 0.06 MiB of traced peak for these 10^4 tuples, 0.13
+    # MiB mod conjugation, whose stack also holds conjugates reached before
+    # their class was counted; listing the tuples and closing over sets of
+    # them peaked at 2.2 MiB.  n = 6 shows the same (0.50 and 0.43 against
+    # 22.4 MiB) but runs ten times longer under tracemalloc.
     group = build_dihedral(5)
     for mod in (False, True):
         tracemalloc.start()
