@@ -1,10 +1,12 @@
 """Finite groups as validated multiplication tables.
 
-Elements are dense indices 0..order-1.  A group is built either from one of
-the builtin families (cyclic, products of cyclics, dihedral, symmetric), from
-an explicit Cayley table, or as the closure of a set of permutations on the
-points they move.  Every construction path runs the same axiom checks, so a
-FiniteGroup in hand is always a group.  Groups compare and hash by identity.
+Elements are dense indices 0..order-1.  A group is an explicit Cayley table
+or the closure of generating permutations on the points they move: a
+"permutations" spec, S_k on k points, or another builtin family (cyclic,
+products of cyclics, dihedral) acting on its own elements by left
+multiplication, with the identity as point 0, so that element a's tuple starts
+with a.  Every construction path runs the same axiom checks, so a FiniteGroup
+in hand is always a group.  Groups compare and hash by identity.
 
 Conjugacy classes get dense ids assigned in order of their smallest element
 index, which makes every downstream enumeration deterministic.  A group
@@ -16,7 +18,6 @@ inverting a root of unity, and it pairs up the two flags of a tree's edge.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -139,12 +140,48 @@ def _validate_table(table: list[list[int]], name: str) -> FiniteGroup:
     return FiniteGroup(n, tuple(map(tuple, table)), identity, tuple(inverse), name, conj)
 
 
+def _permutation_group(gens: list[list[int]], name: str | None) -> FiniteGroup:
+    """The group gens generate, numbered in the sorted order of its elements' tuples.
+
+    a*b is x -> a[b[x]]; name None names it perm<order>.  The closure finds each
+    new q as p*g_j for some p found before it, and a*q = (a*p)*g_j, so row a
+    fills in discovery order with one lookup per entry.
+    """
+    # Drop the points every generator fixes and relabel the rest in increasing
+    # order: that keeps the sorted element order, and so the table.
+    moved = [x for x in range(len(gens[0])) if any(g[x] != x for g in gens)]
+    label = {x: i for i, x in enumerate(moved)}
+    gens = [tuple(label[g[x]] for x in moved) for g in gens]
+    found = [tuple(range(len(moved)))]
+    ids = {found[0]: 0}
+    steps = []  # steps[q - 1] = (p, j): found[q] is found[p]*gens[j]
+    right = [[] for _ in gens]  # right[j][p]: the id of found[p]*gens[j]
+    for p, perm in enumerate(found):  # found grows while the loop reads it
+        if len(found) > MAX_ORDER:
+            raise MalformedSpec(f"closure exceeds the supported maximum {MAX_ORDER}")
+        for j, g in enumerate(gens):
+            q = tuple(perm[x] for x in g)
+            i = ids.setdefault(q, len(found))
+            if i == len(found):
+                found.append(q)
+                steps.append((p, j))
+            right[j].append(i)
+    rank = sorted(range(len(found)), key=found.__getitem__)  # the discovery ids in sorted order
+    pos = sorted(range(len(rank)), key=rank.__getitem__)  # its inverse: each discovery id's number
+    table = []
+    for a in rank:
+        row = [a]  # row[q]: the id of found[a]*found[q]
+        for p, j in steps:
+            row.append(right[j][row[p]])
+        table.append([pos[row[d]] for d in rank])
+    return _validate_table(table, name or f"perm<{len(table)}>")
+
+
 def build_cyclic(k: int) -> FiniteGroup:
     if k < 1:
         raise MalformedSpec(f"cyclic order must be positive, got {k}")
     _check_order(k)
-    table = [[(a + b) % k for b in range(k)] for a in range(k)]
-    return _validate_table(table, f"C{k}")
+    return _permutation_group([[*range(1, k), 0]], f"C{k}")
 
 
 def build_product_cyclic(ks: list[int]) -> FiniteGroup:
@@ -157,42 +194,23 @@ def build_product_cyclic(ks: list[int]) -> FiniteGroup:
         order *= k
         _check_order(order)
     big = [k for k in ks if k > 1]  # a factor of 1 adds a digit that is always 0
-    strides = [math.prod(big[:i]) for i in range(len(big))]
-    digits = [[i // s % k for s, k in zip(strides, big)] for i in range(order)]
-    table = [
-        [sum((x + y) % k * s for x, y, k, s in zip(da, db, big, strides)) for db in digits]
-        for da in digits
-    ]
-    return _validate_table(table, "x".join(f"C{k}" for k in ks))
+    strides = [math.prod(big[:i]) for i in range(len(big))]  # the first factor's digit is lowest
+    gens = [[x + s - k * s * (x // s % k == k - 1) for x in range(order)]  # add 1 to one digit
+            for s, k in zip(strides, big)]
+    return _permutation_group(gens or [[0]], "x".join(f"C{k}" for k in ks))
 
 
 def build_dihedral(k: int) -> FiniteGroup:
     """Symmetries of a regular k-gon, order 2k.
 
-    Element e*k + a is (reflection^e) * (rotation^a).
+    Element e*k + a is s^e r^a (reflection s, rotation r).  They act from the
+    left: r s^e r^a = s^e r^(a + 1 - 2e) and s s^e r^a = s^(1 - e) r^a.
     """
     if k < 1:
         raise MalformedSpec(f"dihedral parameter must be positive, got {k}")
     _check_order(2 * k)
-    table = []
-    for a in range(2 * k):
-        e1, r1 = divmod(a, k)
-        row = []
-        for b in range(2 * k):
-            e2, r2 = divmod(b, k)
-            # (s^e1 r^r1)(s^e2 r^r2) = s^(e1+e2) r^(r2 +- r1)
-            rot = (r2 - r1) % k if e2 else (r1 + r2) % k
-            row.append(((e1 + e2) % 2) * k + rot)
-        table.append(row)
-    return _validate_table(table, f"D{k}")
-
-
-def _permutation_group(perms, name: str) -> FiniteGroup:
-    """The table of a set of permutations closed under composition, in sorted order."""
-    elements = sorted(perms)
-    index = {p: i for i, p in enumerate(elements)}
-    table = [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
-    return _validate_table(table, name)
+    rotation = [e * k + (a + 1 - 2 * e) % k for e in (0, 1) for a in range(k)]
+    return _permutation_group([rotation, [*range(k, 2 * k), *range(k)]], f"D{k}")
 
 
 def build_symmetric(k: int) -> FiniteGroup:
@@ -201,7 +219,8 @@ def build_symmetric(k: int) -> FiniteGroup:
     # any() stops at the first i with i! > MAX_ORDER, so a large k costs nothing.
     if any(math.factorial(i) > MAX_ORDER for i in range(k + 1)):
         raise MalformedSpec(f"order {k}! exceeds the supported maximum {MAX_ORDER}")
-    return _permutation_group(itertools.permutations(range(k)), f"S{k}")
+    # The k-cycle and the transposition (0 1); S1 has no transposition.
+    return _permutation_group([[*range(1, k), 0], [1, 0, *range(2, k)]][:k], f"S{k}")
 
 
 def build_from_permutations(gens: list[list[int]]) -> FiniteGroup:
@@ -211,27 +230,7 @@ def build_from_permutations(gens: list[list[int]]) -> FiniteGroup:
     for g in gens:
         if len(g) != d or sorted(g) != list(range(d)):
             raise MalformedSpec(f"{g!r} is not a permutation of 0..{d - 1}")
-    # Drop the points every generator fixes and relabel the rest in increasing
-    # order: that keeps the sorted element order, and so the table.
-    moved = [x for x in range(d) if any(g[x] != x for g in gens)]
-    label = {x: i for i, x in enumerate(moved)}
-    gen_tuples = [tuple(label[g[x]] for x in moved) for g in gens]
-
-    identity = tuple(range(len(moved)))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gen_tuples:
-                q = tuple(p[x] for x in g)
-                if q not in seen:
-                    if len(seen) >= MAX_ORDER:
-                        raise MalformedSpec(f"closure exceeds the supported maximum {MAX_ORDER}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return _permutation_group(seen, f"perm<{len(seen)}>")
+    return _permutation_group(gens, None)
 
 
 # The builtin families that take one parameter; product_cyclic takes a list.

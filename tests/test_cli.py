@@ -314,6 +314,9 @@ REFUSALS = {
     "permutation-null": (GROUP_FILE, 2, "got [None, None]", '{"permutations": [[null, null]]}'),
     "bool-table": (GROUP_FILE, 2, "[True, False]", '{"cayley": [[true, false], [false, true]]}'),
     "no-identity": (GROUP_FILE, 2, "no two-sided identity element", '{"cayley": [[1, 0], [1, 0]]}'),
+    # S6, 720 elements: the closure stops once it passes the order cap.
+    "closure-cap": (GROUP_FILE, 2, "closure exceeds the supported maximum 255",
+                    '{"permutations": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}'),
     "schema-2": (GROUP_FILE, 2, "schema must be 1, got 2", '{"schema": 2, "cayley": [[0]]}'),
     "schema-true": (GROUP_FILE, 2, "schema must be 1, got True",
                     '{"schema": true, "cayley": [[0]]}'),

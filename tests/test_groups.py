@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import time
 import tracemalloc
 import weakref
@@ -176,13 +177,19 @@ def test_build_from_permutations_generates_s3():
 
 def test_build_from_permutations_drops_fixed_points():
     # Points that no generator moves cost one scan each, not a slot in every
-    # product of the closure and the table.
-    cycle = [*range(1, 255), 0, *range(255, 20_000)]
-    start = time.perf_counter()
-    g = build_from_permutations([cycle])
-    assert time.perf_counter() - start < 5
-    assert g.name == "perm<255>"
-    assert g.table == build_cyclic(255).table
+    # product of the closure.  The moved points cost a slot in each product
+    # of an element by a generator, and each table entry costs one lookup,
+    # so 40 disjoint 255-cycles in one generator (10,200 moved points) fit
+    # the same bound; composing two whole permutations per table entry took
+    # 23 s on them.
+    padded = [*range(1, 255), 0, *range(255, 20_000)]
+    wide = [b * 255 + (a + 1) % 255 for b in range(40) for a in range(255)]
+    for cycle in (padded, wide):
+        start = time.perf_counter()
+        g = build_from_permutations([cycle])
+        assert time.perf_counter() - start < 5
+        assert g.name == "perm<255>"
+        assert g.table == build_cyclic(255).table
     # Relabelling the moved points in increasing order keeps the sorted
     # element order: a 5-cycle on the even points of nine has the table of its
     # powers as 9-tuples in sorted order (the reversed relabelling changes it).
@@ -269,6 +276,59 @@ def test_largest_builtins_keep_identity_and_inverses():
     assert s5.inverse == tuple(
         perms.index(tuple(sorted(range(5), key=p.__getitem__))) for p in perms
     )
+
+
+# Each builtin family's multiplication table from its arithmetic, the
+# reference that its built table must equal entry by entry, element
+# numbering included.
+def _cyclic_table(k):
+    return [[(a + b) % k for b in range(k)] for a in range(k)]
+
+
+def _product_table(ks):
+    big = [k for k in ks if k > 1]
+    strides = [math.prod(big[:i]) for i in range(len(big))]
+    digits = [[i // s % k for s, k in zip(strides, big)] for i in range(math.prod(big))]
+    return [
+        [sum((x + y) % k * s for x, y, k, s in zip(da, db, big, strides)) for db in digits]
+        for da in digits
+    ]
+
+
+def _dihedral_table(k):
+    # (s^e1 r^r1)(s^e2 r^r2) = s^(e1+e2) r^(r2 +- r1)
+    def times(a, b):
+        (e1, r1), (e2, r2) = divmod(a, k), divmod(b, k)
+        return (e1 + e2) % 2 * k + ((r2 - r1) if e2 else (r1 + r2)) % k
+    return [[times(a, b) for b in range(2 * k)] for a in range(2 * k)]
+
+
+def _symmetric_table(k):
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def _factor_lists(most):
+    """Every ordered list of two or more factors above 1 with product at most most."""
+    lists = [[k] for k in range(2, most + 1)]
+    for ks in lists:  # grows while the loop reads it
+        lists += ([*ks, k] for k in range(2, most // math.prod(ks) + 1))
+    return [ks for ks in lists if len(ks) > 1]
+
+
+def test_builtin_tables_match_their_formulas():
+    # The closed-form tests pass under any relabelling of the elements; this
+    # one pins every entry of each builtin's table.
+    cases = [
+        *((build_cyclic(k), _cyclic_table(k)) for k in [*range(1, 33), 255]),
+        *((build_dihedral(k), _dihedral_table(k)) for k in [*range(1, 17), 127]),
+        *((build_product_cyclic(ks), _product_table(ks))
+          for ks in [*_factor_lists(32), [3, 5, 17], [2] * 7, [2, 1, 3]]),
+        *((build_symmetric(k), _symmetric_table(k)) for k in range(1, 6)),
+    ]
+    for g, table in cases:
+        assert g.table == tuple(map(tuple, table)), g.name
 
 
 def test_order_cap():
