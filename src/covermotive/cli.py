@@ -304,17 +304,19 @@ def cmd_hurwitz(args) -> int:
     _require_n(args, 1)
     group = _load_group(args)
     order, n = group.order, args.n
-    # Work: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1):
-    # the closure makes each tuple's n-1 braid moves as index lookups, and
-    # decodes a tuple once per orbit and per --mod-conj class counted.
+    # Work: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1),
+    # now an upper bound: the closure moves each m-tuple of each level m <= n - 1
+    # by one lookup and each top block by one more, and decodes a tuple once
+    # per orbit and per --mod-conj class counted.
     factor, count = n, f"{order}^{n - 1} tuples of length {n}"
     if args.orbits:
         factor *= 2 * (n - 1)
         count += f", times 2(n-1) = {2 * (n - 1)} for orbits,"
     over = _exceeds(order, n - 1, factor, TUPLE_CAP)
     if args.mod_conj and not over:
-        # Each class of tuples that the closure counts marks its |G : Z(G)| - 1
-        # other conjugates, a sum of n-1 terms each; none on an abelian group.
+        # The cap still charges each class of tuples the |G : Z(G)| - 1 marks of
+        # its other conjugates, a sum of n-1 terms each, which the closure no
+        # longer makes; none on an abelian group.
         # By Burnside the classes are the sum over h in G of |C(h)|^(n-1) over
         # |G|, |C(h)| = order/|c| for h in class c; past the check above, these fit.
         sizes = group.conj.sizes

@@ -7,33 +7,46 @@ identity.  The braid generator sigma_i replaces (g_i, g_{i+1}) by
 
 A product-one tuple is fixed by its first n - 1 entries; read as base-order
 digits they are its index, a bijection onto range(order^(n-1)) in
-lexicographic order.  With rows[h][g] = h g h^{-1}, sigma_i sends (a, b) to
-(c, a), c = rows[a][b].  For i <= n - 2 both entries are digits, i - 1 and
-i, of weights W[i-1] = order W[i]: x // W[i] % order^2 is the pair code
-a order + b, and the index moves by W[i] ((c - a) order + a - b), one lookup
-in a list of order^2 steps.  sigma_{n-1} acts on digit n - 2, a, and on
-the forced last entry b = (P a)^{-1}, where P is the product of the first
-n - 2 entries; then c = (a P)^{-1}.  head[q] is P for the index q of those
-entries, so with q, r = divmod(x, order) the index moves by
-tail[r order + head[q]], tail[a order + P] = (a P)^{-1} - a.  (Reading P a
-there would give sigma_{n-1}^{-1}, whose orbits are the same.)  A tuple's
-entries are decoded only to report its orbit's least member, and mod
-conjugation to mark its conjugates.  Each sigma_i permutes the finite set of
-tuples, so the closure of a seed under the forward moves is its whole orbit,
-and seeds scanned in index order each start an orbit at its least member.
-Mod conjugation, a popped tuple that no counted tuple has marked is counted
-and marks its conjugates, one per inner automorphism but the identity (h
-and hz, z central, conjugate alike).  Conjugation commutes with every braid
-move, so a skipped conjugate's moves are conjugates of the counted tuple's,
-and every mod-conjugation orbit is untouched until the scan reaches its
-least member.
+lexicographic order.  Each sigma_i permutes the finite set of tuples, so the
+closure of a tuple under the forward moves is its whole orbit.
+
+The closure is built level by level.  At level m, m = 0..n - 2, every
+m-tuple of any product has an index p of m digits; ids[p] numbers its orbit
+under sigma_1..sigma_{m-1}, members[o] lists orbit o's indices, least first,
+and prods[o] is their common product.  A block (o, r), of index o order + r,
+pairs orbit o with one more digit r; its tuples p order + r form one orbit of
+sigma_1..sigma_{m-1} on (m + 1)-tuples, so level m + 1 closes the blocks
+under sigma_m alone.  With rows[h][g] = h g h^{-1}, sigma_m sends the last
+digit a of p and r to (c, a), c = rows[a][r]: the tuple goes to block
+(ids[p + c - a], a), one lookup in a list of order^2 steps per tuple.  At
+the top level, m = n - 2, the last entry b = (P r)^{-1}, P = prods[o], is
+forced, so the blocks hold the product-one tuples.  sigma_{n-2} is still one
+lookup per tuple.  sigma_{n-1} keeps the prefix and sends r to
+r b r^{-1} = (r P)^{-1} for the whole block: one lookup per block.  (Reading
+P r there would give sigma_{n-1}^{-1}, whose orbits are the same.)  Orbits
+are numbered in order of their least member, so a block's least tuple,
+members[o][0] order + r, grows with its index: blocks scanned in index order
+each start an orbit at its least member, and the top orbits come out sorted.
+The closure holds order^m ids and member indices at each level m <= n - 2
+and one byte per top block; a tuple's entries are decoded only to report
+its orbit's least member.
+
+Mod conjugation: conjugation commutes with every braid move, so the
+stabiliser of a tuple among the inner automorphisms is the same all along
+its braid orbit O.  The class U, the union of the orbits hO, then holds
+|O| |Inn| / S tuples in classes of |Inn| / s each, |O| s / S classes, where s
+maps fix O's least member and S maps send O to itself.  S is read by
+conjugating the least member with each map but the identity and looking
+its block up in an array of top orbit ids; the other orbits hO merge into
+O, the first and least of them.  An abelian group has no such map and
+builds no array.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import getitem
-from typing import Sequence
+from array import array
+from typing import Iterator, Sequence
 
 from .groups import FiniteGroup
 
@@ -56,14 +69,50 @@ def enumerate_hurwitz(group: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _block_orbits(
+    order: int, ids: array | None, members: list[list[int]], step: list[int],
+    last: list[int] | None = None, prods: list[int] | None = None,
+) -> Iterator[list[int]]:
+    """Yield each orbit of the blocks over a level, as its block indices, start first.
+
+    A block o order + r is a level orbit o with one more digit r.  ids is None
+    at level 0, which has no braid move; with last and prods the blocks are
+    the top ones, also moved by sigma_{n-1}.  Starts come in increasing order.
+    """
+    seen = bytearray(len(members) * order)
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        stack, blocks = [start], []
+        while stack:
+            b = stack.pop()
+            blocks.append(b)
+            o, r = divmod(b, order)
+            if ids is not None:
+                for p in members[o]:
+                    a = p % order
+                    c = ids[p + step[a * order + r]] * order + a
+                    if not seen[c]:
+                        seen[c] = 1
+                        stack.append(c)
+            if last is not None:
+                c = b - r + last[r * order + prods[o]]
+                if not seen[c]:
+                    seen[c] = 1
+                    stack.append(c)
+        yield blocks
+
+
 def braid_orbits(
     group: FiniteGroup, n: int, mod_conjugation: bool = False
 ) -> list[tuple[tuple[int, ...], int]]:
     """The braid orbits of the product-one n-tuples as (least member, size), sorted.
 
-    With mod_conjugation the size counts conjugation classes of tuples, each
-    counted as it marks its conjugates.  The closure holds order^(n-1) bytes
-    and order^(n-2) prefix products, which the command line bounds.
+    With mod_conjugation the size counts conjugation classes of tuples,
+    |O| s / S for the braid orbit O of the least member.  The closure holds
+    order^m ids and member indices at each level m <= n - 2 and one byte per
+    top block, which the command line bounds.
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
@@ -71,57 +120,72 @@ def braid_orbits(
         return [((group.identity,), 1)]
     order, table, inverse = group.order, group.table, group.inverse
     rows = [tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)]
-    weights = [order ** (n - 2 - j) for j in range(n - 1)]
+    # step[a order + r]: sigma_m's change to a prefix ending in a, c - a.
+    step = [rows[a][r] - a for a in range(order) for r in range(order)]
+    # last[r order + P]: the digit (r P)^{-1} that sigma_{n-1} puts in place of r.
+    last = [inverse[p] for r in range(order) for p in table[r]]
+    # Level 0 is the empty tuple; each pass builds level m + 1 from level m.
+    ids, members, prods = array("i", [0]), [[0]], [group.identity]
+    for m in range(n - 2):
+        next_ids = array("i", bytes(4 * order ** (m + 1)))
+        next_members, next_prods = [], []
+        for blocks in _block_orbits(order, ids if m else None, members, step):
+            mem = [p * order + b % order for b in blocks for p in members[b // order]]
+            for y in mem:
+                next_ids[y] = len(next_members)
+            next_members.append(mem)
+            o, r = divmod(blocks[0], order)
+            next_prods.append(table[prods[o]][r])
+        ids, members, prods = next_ids, next_members, next_prods
     # The conjugation maps but the identity's, which is every central element's.
-    inner = set(rows) - {rows[group.identity]} if mod_conjugation else ()
-    # terms[j][g]: what entry j = g adds to the index of each of its conjugates.
-    terms = [[tuple(row[g] * w for row in inner) for g in range(order)] for w in weights if inner]
-    seen = bytearray(order ** (n - 1))
-    # pairs: (W[i], sigma_i's index step by pair code) for i = 1..n-2.
-    square = order * order
-    step = [(rows[a][b] - a) * order + a - b for a in range(order) for b in range(order)]
-    pairs = [(w, [w * s for s in step]) for w in weights[1:]]
-    # head[q]: the product P of the first n - 2 entries of index q, and
-    # tail[a order + P]: sigma_{n-1}'s index step, (a P)^{-1} - a.
-    head = [group.identity]
-    for _ in range(n - 2):
-        head = [p for h in head for p in table[h]]
-    tail = [inverse[p] - a for a in range(order) for p in table[a]]
+    maps = []
+    if mod_conjugation:
+        maps = [row for row in dict.fromkeys(rows) if row != rows[group.identity]]
+    # where[block]: its top orbit's number, read only to find conjugate orbits.
+    where = array("i", bytes(4 * len(members) * order)) if maps else None
+    leasts, sizes = array("q"), array("q")
+    top = _block_orbits(order, ids if n > 2 else None, members, step, last, prods)
+    for k, blocks in enumerate(top):
+        o, r = divmod(blocks[0], order)
+        leasts.append(members[o][0] * order + r)
+        sizes.append(sum(len(members[b // order]) for b in blocks))
+        if maps:
+            for b in blocks:
+                where[b] = k
 
     def vector(x: int) -> list[int]:
-        v, acc = [], group.identity
-        for w in weights:
-            g, x = divmod(x, w)
+        v = []
+        for _ in range(n - 1):
+            x, g = divmod(x, order)
             v.append(g)
+        v.reverse()
+        acc = group.identity
+        for g in v:
             acc = table[acc][g]
         v.append(inverse[acc])
         return v
 
+    if not maps:
+        return [(tuple(vector(x)), size) for x, size in zip(leasts, sizes)]
     orbits = []
-    for start in range(len(seen)):
-        if seen[start]:
+    merged = bytearray(len(sizes))
+    for k, (x, size) in enumerate(zip(leasts, sizes)):
+        if merged[k]:
             continue
-        seen[start] = 1
-        stack, size = [start], 0
-        while stack:
-            x = stack.pop()
-            if terms:
-                if seen[x] == 2:  # a conjugate of a tuple already counted
-                    continue
-                for y in map(sum, zip(*map(getitem, terms, vector(x)))):
-                    seen[y] = 2
-            size += 1
-            for w, d in pairs:
-                y = x + d[x // w % square]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-            q, r = divmod(x, order)
-            y = x + tail[r * order + head[q]]
-            if not seen[y]:
-                seen[y] = 1
-                stack.append(y)
-        orbits.append((tuple(vector(start)), size))
+        v = vector(x)
+        fixed = kept = 1  # the identity map
+        for row in maps:
+            w = [row[g] for g in v]
+            q = 0
+            for g in w[:-2]:
+                q = q * order + g
+            j = where[ids[q] * order + w[-2]]
+            if j == k:
+                kept += 1
+                fixed += w == v
+            else:
+                merged[j] = 1
+        orbits.append((tuple(v), size * fixed // kept))
     return orbits
 
 

@@ -20,6 +20,7 @@ import pytest
 from covermotive.groups import (
     build_cyclic,
     build_dihedral,
+    build_group,
     build_product_cyclic,
     build_symmetric,
 )
@@ -222,13 +223,35 @@ def test_small_cyclic_orbits_match_two_sided_reference():
         assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
 
 
-@pytest.mark.parametrize("group", [build_symmetric(3), build_dihedral(4)], ids=["S3", "D4"])
-def test_small_nonabelian_orbits_match_two_sided_reference(group):
+# Nonabelian groups by name, with the order of their centres.  Q8, D4 x C2
+# and A4 are reached only by a "permutations" spec: Q8 by left
+# multiplication by i and j on the points s 4 + u, the sign s and the unit u
+# of 1, i, j, k; D4 x C2 on 4 + 2 points.
+NONABELIAN = {
+    "S3": (build_symmetric(3), 1),
+    "D4": (build_dihedral(4), 2),
+    "Q8": (build_group({"permutations": [[1, 4, 3, 6, 5, 0, 7, 2], [2, 7, 4, 1, 6, 3, 0, 5]]}), 2),
+    "D4xC2": (
+        build_group({"permutations": [[1, 2, 3, 0, 4, 5], [0, 3, 2, 1, 4, 5], [0, 1, 2, 3, 5, 4]]}),
+        4,
+    ),
+    "A4": (build_group({"permutations": [[1, 2, 0, 3], [1, 0, 3, 2]]}), 1),
+}
+
+
+@pytest.mark.parametrize("name", NONABELIAN)
+def test_small_nonabelian_orbits_match_two_sided_reference(name):
     # sigma_{n-1} reads the product of the first n - 2 entries: none at n = 2,
     # one at n = 3.  Only a nonabelian group tells a b a^{-1} from b there.
-    for n, mod in itertools.product((1, 2, 3, 4), (False, True)):
+    # Mod conjugation the sizes come from stabilisers, |O| s / S, and each
+    # class keeps the least of its conjugate orbits; a centre larger than the
+    # identity makes s and S count maps, not elements.
+    group, centre = NONABELIAN[name]
+    assert not group.is_abelian() and group.conj.sizes.count(1) == centre
+    for n, mod in itertools.product(range(1, 6), (False, True)):
         reference = reference_orbits(group, enumerate_hurwitz(group, n), mod)
-        assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
+        expected = [(o[0], len(o)) for o in reference]
+        assert braid_orbits(group, n, mod) == expected, (n, mod)
 
 
 def test_orbit_sizes_partition_the_tuples():
@@ -249,12 +272,13 @@ def test_abelian_orbits_ignore_conjugation():
 
 
 def test_orbits_hold_no_tuple_list():
-    # The closure holds a byte per tuple, its move tables and one orbit's
-    # stack of indices: 0.06 MiB of traced peak for these 10^4 tuples, 0.13
-    # MiB mod conjugation, whose stack also holds conjugates reached before
-    # their class was counted; listing the tuples and closing over sets of
-    # them peaked at 2.2 MiB.  n = 6 shows the same (0.50 and 0.43 against
-    # 22.4 MiB) but runs ten times longer under tracemalloc.
+    # The closure holds the ids and member indices of the levels below the
+    # top, a byte per top block, one orbit's stack of blocks and a least
+    # index and size per orbit; mod conjugation adds an id per top block.
+    # That read 0.05 MiB of traced peak for these 10^4 tuples in both modes;
+    # listing the tuples and closing over sets of them peaked at 2.2 MiB.
+    # n = 6 shows the same (0.48 MiB in both modes, against 22.4 MiB) but
+    # runs ten times longer under tracemalloc.
     group = build_dihedral(5)
     for mod in (False, True):
         tracemalloc.start()
