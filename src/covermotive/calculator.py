@@ -19,15 +19,15 @@ below it, and every vertex away from the root then multiplies to the identity
 by construction.  Only the root condition can fail: the leaf marks must
 multiply to the identity.  So every product-one marking carries one class,
 the strata summed over valence profiles, weighted by trees.profile_counts,
-without building a tree, and the sweep lists only the product-one class
-types (sorted class tuples).  The brute-force sweep in
-tests/test_calculator.py enumerates the trees, marks every edge freely and
-checks every vertex (trees.gerby_markings, trees.is_admissible); it is the
-oracle for both shortcuts.
+without building a tree; each class is one element and the last mark is
+forced, so the sweep counts order^(n-1) such markings and lists none.  The
+brute-force sweep in tests/test_calculator.py enumerates the trees, marks
+every edge freely and checks every vertex (trees.gerby_markings,
+trees.is_admissible); it is the oracle for both shortcuts.
 
 The recursion works on class types (smodules).  Its open part multiplies
-out every sorted class tuple and, unlike the sweep, forces no entry.  Its
-tails are the sweep classes of degrees below n, which enter through
+out every sorted class tuple and, unlike Calculator.types, forces no entry.
+Its tails are the sweep classes of degrees below n, which enter through
 bbar_module, the one crossing between the routes, as one generator per
 product-one type; so each level of the ladder tests the recursion against
 independently computed lower levels.
@@ -36,7 +36,6 @@ independently computed lower levels.
 from __future__ import annotations
 
 import itertools
-from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedSpec, UnsupportedNonabelian
@@ -55,15 +54,14 @@ from .trees import NTree, enumerate_stable_trees, profile_counts, stratum_class_
 
 
 class StrataSweep(NamedTuple):
-    """Everything one pass over the product-one types of degree n yields.
+    """Everything one pass over the valence profiles of degree n yields.
 
-    types lists each product-one type once, as a sorted class tuple; every
-    marking of such a type carries the one class strata, and every other
-    marking none.
+    Every product-one marking carries the one class strata, and every other
+    marking none; total and the weighted sums count the order^(n-1)
+    product-one markings.
     """
 
     n: int
-    types: tuple[tuple[int, ...], ...]
     strata: MotivePoly
     total: MotivePoly
     vertex_weighted: MotivePoly
@@ -130,17 +128,13 @@ class Calculator:
         root condition can fail, so every topology admits exactly the leaf
         tuples whose marks multiply to the identity, and each such tuple
         gets the same class: the sum of the strata over all topologies.
-        Each sorted prefix of n - 1 classes is closed by the class of its
-        inverse product, and kept if that class sorts last, which lists each
-        product-one type once.  test_sweep_matches_brute_force is the oracle
-        for this.
+        Each class of the abelian group is one element and the first n - 1
+        marks force the last, so there are order^(n-1) such tuples, none
+        listed.  test_sweep_matches_brute_force is the oracle for this.
         """
         if n in self._sweeps:
             return self._sweeps[n]
         profiles = profile_counts(n)
-        prefixes = itertools.combinations_with_replacement(range(self.conj.count), n - 1)
-        types = tuple(t for t in self._closed(prefixes) if t[-2] <= t[-1])
-
         strata = v_w = e_w = ZERO
         for valences, count in profiles.items():
             contrib = stratum_class_of_topology(valences).scale(count)
@@ -148,11 +142,10 @@ class Calculator:
             v_w = v_w + contrib.scale(len(valences))
             e_w = e_w + contrib.scale(len(valences) - 1)
 
-        hits = sum(factorial(n) // prod(factorial(t.count(c)) for c in set(t)) for t in types)
+        hits = self.group.order ** (n - 1)
         topology_count = sum(profiles.values())
         sweep = StrataSweep(
             n=n,
-            types=types,
             strata=strata,
             total=strata.scale(hits),
             vertex_weighted=v_w.scale(hits),
@@ -162,6 +155,14 @@ class Calculator:
         )
         self._sweeps[n] = sweep
         return sweep
+
+    def types(self, n: int) -> list[tuple[int, ...]]:
+        """Each product-one type of degree n once, as a sorted class tuple: each
+        sorted prefix of n - 1 classes closed by the class of its inverse
+        product, kept if that class sorts last.  Not kept between calls: only
+        bbar_module and verify_main_theorem read it, once per degree."""
+        prefixes = itertools.combinations_with_replacement(range(self.conj.count), n - 1)
+        return [t for t in self._closed(prefixes) if t[-2] <= t[-1]]
 
     def per_marking(self, n: int) -> Iterator[tuple[int, ...]]:
         """Every product-one marking of degree n, each carrying sweep(n).strata:
@@ -176,8 +177,8 @@ class Calculator:
         for c in marking:
             if not 0 <= c <= last:
                 raise MalformedSpec(f"marking names class {c}; class ids run 0..{last}")
-        sweep = self.sweep(len(marking))
-        return sweep.strata if tuple(sorted(marking)) in sweep.types else ZERO
+        strata = self.sweep(len(marking)).strata
+        return strata if next(self._closed([marking[:-1]])) == marking else ZERO
 
     # ---- recursion route ----
 
@@ -203,7 +204,7 @@ class Calculator:
     def bbar_module(self, up_to: int) -> SModClass:
         """Stratification classes as generators, degrees 3..up_to, by type."""
         sweeps = [self.sweep(k) for k in range(3, up_to + 1)]
-        return SModClass(Atom(t, (), s.strata) for s in sweeps for t in s.types)
+        return SModClass(Atom(t, (), s.strata) for s in sweeps for t in self.types(s.n))
 
     def dbar_module(self, n: int) -> SModClass:
         """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
@@ -232,7 +233,7 @@ class Calculator:
     def terms(self, n: int) -> tuple[tuple[MotivePoly, ...], dict[tuple[int, ...], MotivePoly]]:
         """The three recursion terms at degree n (third enters negatively), and
         their signed sum per type: the class of each marking of a type, keyed
-        by the type's sorted class tuple, as sweep(n).types lists it."""
+        by the type's sorted class tuple, as types(n) lists it."""
         if n not in self._terms:
             term_atoms = self._term_atoms(n)
             totals = tuple(sum((a.cls.scale(a.tuple_count) for a in t), ZERO) for t in term_atoms)
@@ -250,8 +251,7 @@ class Calculator:
         """Both routes type by type.  Each total weights every type's class by
         its tuple count, so types that agree give totals that agree."""
         (t1, t2, t3), recursion = self.terms(n)
-        sweep = self.sweep(n)
-        strata = dict.fromkeys(sweep.types, sweep.strata)
+        strata = dict.fromkeys(self.types(n), self.sweep(n).strata)
         types = sorted({*strata, *recursion})
         sides = ((t, strata.get(t, ZERO), recursion.get(t, ZERO)) for t in types)
         return VerificationReport(

@@ -20,8 +20,10 @@ All output is byte-deterministic for a fixed input.  The enumeration caps
 are the constants STABLE_TREE_CAP, MARKING_CAP and TUPLE_CAP.
 
 class, verify and trees --group read one Calculator, which _calculator builds
-once every cap has passed; the census lines of class and trees come from one
-count of the stable trees by edge number, _census.  No command builds a tree.
+once every cap has passed; the marking cap guards only the paths that list
+class tuples or types (verify, class --per-marking and --with-verification).
+The census lines of class and trees come from one count of the stable trees
+by edge number, _census.  No command builds a tree.
 
 Exit codes: 0 success (and verified equality for verify), 1 verification
 failure (a mismatch, or an exact division that fails in verify or class
@@ -166,7 +168,7 @@ def _census(n: int, calc: Calculator | None = None):
 def cmd_trees(args) -> int:
     calc = None
     if args.group is not None or args.group_file is not None:
-        calc = _calculator(args)
+        calc = _calculator(args, lists=False)
     else:
         _require_n(args, 3)
         _check_tree_cap(args.n)
@@ -208,20 +210,21 @@ def _check_tree_cap(n: int) -> None:
         )
 
 
-def _calculator(args) -> Calculator:
-    """Load the group; refuse n < 3 and degrees beyond the marking or tree cap.
+def _calculator(args, lists: bool) -> Calculator:
+    """Load the group; refuse n < 3, degrees beyond the tree cap and, if the
+    command lists class tuples or types, beyond the marking cap.
 
-    The gate of class, verify and trees --group.  The sweep lists the
-    product-one class types of each degree up to n, the recursion works on
-    types, class --per-marking lists the class tuples, and the strata, the
-    census and verify --all-props's flag count line are read off the
-    valence profiles of the stable n-trees, so the checks bound every
-    enumeration before it starts.
+    The gate of class, verify and trees --group.  The recursion lists the
+    product-one types of each degree up to n and class --per-marking the
+    class tuples; the sweep counts its markings without listing them, and
+    the strata, the census and verify --all-props's flag count line are
+    read off the valence profiles of the stable n-trees, so the checks
+    bound every enumeration before it starts.
     """
     _require_n(args, 3)
     group = _load_group(args)
     ncls = group.conj.count
-    if _exceeds(ncls, args.n, 1, MARKING_CAP):
+    if lists and _exceeds(ncls, args.n, 1, MARKING_CAP):
         raise SizeLimit(f"{ncls}^{args.n} class tuples exceed marking cap {MARKING_CAP}")
     _check_tree_cap(args.n)
     return Calculator(group)
@@ -232,7 +235,7 @@ def cmd_class(args) -> int:
         raise MalformedSpec("--per-marking needs --format json")
     n = args.n
     marking = None if args.marking is None else _parse_marking(args.marking, n)
-    calc = _calculator(args)
+    calc = _calculator(args, lists=args.per_marking or args.with_verification)
     cls = calc.class_bbar(n) if marking is None else calc.class_bbar_marked(marking)
     poincare = to_poincare(cls)
     hodge_euler = format_poly(cls.coeffs, monomial("u", "v"))
@@ -275,7 +278,7 @@ def cmd_class(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    calc = _calculator(args)
+    calc = _calculator(args, lists=True)
     report = calc.verify_main_theorem(args.n)
     ok = report.equal
     print(f"{calc.group.name}, n = {args.n}")
@@ -304,27 +307,15 @@ def cmd_hurwitz(args) -> int:
     _require_n(args, 1)
     group = _load_group(args)
     order, n = group.order, args.n
-    # Work: order^(n-1) tuples of length n.  With --orbits, that times 2(n-1),
-    # now an upper bound: the closure moves each m-tuple of each level m <= n - 1
-    # by one lookup and each top block by one more, and decodes a tuple once
-    # per orbit and per --mod-conj class counted.
+    # Work: order^(n-1) tuples of length n.  With --orbits, with or without
+    # --mod-conj, that times 2(n-1), an upper bound: the closure moves each
+    # m-tuple of each level m <= n - 1 by one lookup and each top block by one
+    # more, and decodes a tuple once per orbit and per --mod-conj class counted.
     factor, count = n, f"{order}^{n - 1} tuples of length {n}"
     if args.orbits:
         factor *= 2 * (n - 1)
         count += f", times 2(n-1) = {2 * (n - 1)} for orbits,"
-    over = _exceeds(order, n - 1, factor, TUPLE_CAP)
-    if args.mod_conj and not over:
-        # The cap still charges each class of tuples the |G : Z(G)| - 1 marks of
-        # its other conjugates, a sum of n-1 terms each, which the closure no
-        # longer makes; none on an abelian group.
-        # By Burnside the classes are the sum over h in G of |C(h)|^(n-1) over
-        # |G|, |C(h)| = order/|c| for h in class c; past the check above, these fit.
-        sizes = group.conj.sizes
-        classes = sum(s * (order // s) ** (n - 1) for s in sizes) // order
-        marks = (n - 1) * classes * (order // sizes.count(1) - 1)
-        count += f" plus {marks} conjugate marks,"
-        over = order ** (n - 1) * factor + marks > TUPLE_CAP
-    if over:
+    if _exceeds(order, n - 1, factor, TUPLE_CAP):
         raise SizeLimit(f"{count} exceed tuple cap {TUPLE_CAP}")
     # The last entry is forced by the first n - 1, so the count needs no list.
     print(f"product-one tuples for {group.name}, n = {n}: {order ** (n - 1)}")

@@ -274,7 +274,7 @@ def test_sweep_matches_brute_force(group, degrees):
         sweep = calc.sweep(n)
         marked = dict.fromkeys(calc.per_marking(n), sweep.strata)
         assert marked == per_marking, f"{group.name}, n = {n}"
-        assert sorted(sweep.types) == sorted({tuple(sorted(m)) for m in per_marking})
+        assert sorted(calc.types(n)) == sorted({tuple(sorted(m)) for m in per_marking})
         assert set(per_marking.values()) == {sweep.strata}
         assert sweep.total == total
         assert sweep.vertex_weighted == vertex_weighted

@@ -18,7 +18,6 @@ import covermotive.errors as errors
 import covermotive.smodules as smodules
 from covermotive.cli import main
 from covermotive.groups import build_group
-from covermotive.hurwitz import braid_orbits
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -180,6 +179,48 @@ def test_verify_all_props_builds_no_tree(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--group", "cyclic:2", "--n", "6", "--all-props")
     assert code == 0
     assert "per-tree flag count identity: HOLDS" in out
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "class --group cyclic:255 --n 9",
+        "class --group cyclic:255 --n 9 --format text",
+        "class --group cyclic:11 --n 9 --marking 1,2,3,4,5,6,7,8,8",
+        "trees --group cyclic:255 --n 9",
+    ],
+)
+def test_class_and_trees_list_nothing(line, capsys, monkeypatch):
+    # The class and the census count the order^(n-1) product-one markings
+    # without listing a type or a class tuple, so no marking cap guards them
+    # and even 255^8 markings take no time.
+    from covermotive.calculator import Calculator
+
+    monkeypatch.setattr(Calculator, "types", _no_work)
+    monkeypatch.setattr(Calculator, "per_marking", _no_work)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *line.split())
+    assert time.perf_counter() - start < 1
+    assert (code, err, bool(out)) == (0, "", True)
+
+
+def test_per_marking_keys_sort_as_strings(capsys):
+    # C11's class ids are its residues, so "10,..." keys exist, and they sort
+    # as strings: "0,10,1" before "0,2,9", "10,0,1" before "2,0,9".  Every
+    # product-one marking of degree 3 carries the class of a point, 1, and
+    # there are 11^2 of them.
+    markings = [(a, b, (-a - b) % 11) for a in range(11) for b in range(11)]
+    payload = {
+        "schema": 1,
+        "group": "C11",
+        "n": 3,
+        "coefficients": ["121"],
+        "hodge_euler": "121",
+        "poincare": ["121"],
+        "per_marking": {",".join(map(str, m)): ["1"] for m in markings},
+    }
+    code, out, _ = _run(capsys, "class", "--group", "cyclic:11", "--n", "3", "--per-marking")
+    assert (code, out) == (0, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def test_verify_all_props_reports_a_broken_flag_count(capsys, monkeypatch):
@@ -359,26 +400,28 @@ REFUSALS = {
     "trees-12": ("trees --n 12", 3, "n = 12 exceeds stable tree cap 9"),
     "class-tree-cap": ("class --group cyclic:1 --n 10", 3, "n = 10 exceeds stable tree cap 9"),
     "verify-tree-cap": ("verify --group cyclic:1 --n 10", 3, "n = 10 exceeds stable tree cap 9"),
-    "class-marking-cap": ("class --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
+    # The marking cap guards only the paths that list class tuples or types;
+    # plain class and trees --group list none (test_caps_admit_what_fits).
+    "class-marking-cap": (
+        "class --group cyclic:7 --n 8 --per-marking", 3, "7^8 class tuples exceed"
+    ),
     "verify-marking-cap": ("verify --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
-    "trees-marking-cap": ("trees --group cyclic:7 --n 8", 3, "7^8 class tuples exceed"),
     # C1 has one tuple per degree, so only the tuples' length can refuse it;
     # C50's 50^4 tuples of length 5 fit the cap, their 8 braid moves each do
-    # not.  D63's 126^3 tuples of length 4 and their 6 braid moves each fit
-    # it (4.8e7), and with them the 3 * 125 conjugate marks of each of its
-    # 138,919 classes of tuples do not.  C160 has no marks to refuse it
-    # (test_tuple_cap_admits_abelian_orbits_mod_conjugation).
+    # not.  --mod-conj is charged what --orbits is: D80's 160^3 tuples of
+    # length 4 and their 6 braid moves each fit the cap (9.8e7), D81's 162^3
+    # do not.
     "hurwitz-length-cap": ("hurwitz --group cyclic:1 --n 32000 --orbits", 3, "exceed tuple cap"),
     "hurwitz-orbits-cap": ("hurwitz --group cyclic:50 --n 5 --orbits", 3, "= 8 for orbits, exceed"),
     "hurwitz-marks-cap": (
-        "hurwitz --group dihedral:63 --n 4 --orbits --mod-conj", 3,
-        "126^3 tuples of length 4, times 2(n-1) = 6 for orbits, plus 52094625 conjugate marks, "
-        "exceed tuple cap 100000000",
+        "hurwitz --group dihedral:81 --n 4 --orbits --mod-conj", 3,
+        "162^3 tuples of length 4, times 2(n-1) = 6 for orbits, exceed tuple cap 100000000",
     ),
     # A base above 1 to a huge power: the checks clamp the exponent, so they
     # refuse at once instead of building the power as an integer.
     "class-clamped-power": (
-        "class --group cyclic:3 --n 30000000", 3, "3^30000000 class tuples exceed marking cap"
+        "class --group cyclic:3 --n 30000000 --per-marking", 3,
+        "3^30000000 class tuples exceed marking cap",
     ),
     "hurwitz-clamped-power": (
         "hurwitz --group cyclic:3 --n 30000000", 3,
@@ -457,15 +500,14 @@ def test_inexact_division_exits_1(line, capsys, monkeypatch):
     "line",
     [
         "trees --group cyclic:3 --n 9",  # 3^9 class tuples
+        "trees --group cyclic:7 --n 8",  # 7^8 class tuples, none listed
         "hurwitz --group cyclic:1 --n 50 --orbits",
         "hurwitz --group cyclic:50 --n 5",  # 50^4 tuples of length 5, no braid moves
         # Each count exactly at its cap: 2^3 tuples of length 4, 2^4 class
-        # tuples, and D4's 8^2 tuples of length 3 with their 4 braid moves
-        # each and 2 * 28 * 3 conjugate marks: 28 classes of tuples, each
-        # marking |D4 : Z(D4)| - 1 = 3 conjugates.
+        # tuples, and D4's 8^2 tuples of length 3 with their 4 braid moves each.
         "TUPLE_CAP=32 hurwitz --group cyclic:2 --n 4",
-        "MARKING_CAP=16 class --group cyclic:2 --n 4",
-        "TUPLE_CAP=936 hurwitz --group dihedral:4 --n 3 --orbits --mod-conj",
+        "MARKING_CAP=16 class --group cyclic:2 --n 4 --per-marking",
+        "TUPLE_CAP=768 hurwitz --group dihedral:4 --n 3 --orbits --mod-conj",
     ],
 )
 def test_caps_admit_what_fits(line, capsys, monkeypatch):
@@ -475,28 +517,24 @@ def test_caps_admit_what_fits(line, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind, k, n", [("dihedral", 4, 4), ("symmetric", 3, 3), ("cyclic", 6, 3)])
 def test_tuple_cap_counts_the_conjugate_marks(kind, k, n, capsys, monkeypatch):
-    # Mod conjugation the closure counts each conjugation class of tuples
-    # once and marks one conjugate per distinct conjugation map but the
-    # identity, each a sum of n - 1 terms: with the decoding and the braid
-    # moves, the cap admits exactly that count and refuses it one below.  A
-    # cyclic group has no map to mark with, so its refusal names no marks.
-    group = build_group({"builtin": {"kind": kind, "params": [k]}})
-    order, table, inverse = group.order, group.table, group.inverse
-    maps = {tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)}
-    classes = sum(size for _, size in braid_orbits(group, n, True))
-    work = order ** (n - 1) * n * 2 * (n - 1) + (n - 1) * (len(maps) - 1) * classes
+    # Mod conjugation the closure marks no conjugate: it counts each class of
+    # conjugate orbits from stabilisers.  So the cap counts no marks either,
+    # only the decoding and the braid moves that plain --orbits is charged:
+    # it admits exactly order^(n-1) * n * 2(n-1) and refuses it one below.
+    order = build_group({"builtin": {"kind": kind, "params": [k]}}).order
+    work = order ** (n - 1) * n * 2 * (n - 1)
     argv = ["hurwitz", "--group", f"{kind}:{k}", "--n", str(n), "--orbits", "--mod-conj"]
     monkeypatch.setattr(cli, "TUPLE_CAP", work)
     assert _run(capsys, *argv)[0] == 0
     monkeypatch.setattr(cli, "TUPLE_CAP", work - 1)
     code, _, err = _run(capsys, *argv)
-    assert code == 3 and ("conjugate marks" in err) == (len(maps) > 1)
+    assert code == 3 and err.endswith(f"for orbits, exceed tuple cap {work - 1}\n")
 
 
 def test_tuple_cap_admits_abelian_orbits_mod_conjugation(capsys, monkeypatch):
-    # C160 has no conjugation map to mark with, so --mod-conj weighs what
-    # plain --orbits does: 160^3 tuples of length 4 and their 6 braid moves
-    # each, 9.8e7.  The closure is stubbed: tier-1 does not run 4e6 tuples.
+    # --mod-conj weighs what plain --orbits does: 160^3 tuples of length 4
+    # and their 6 braid moves each, 9.8e7.  The closure is stubbed: tier-1
+    # does not run 4e6 tuples.
     calls = []
     monkeypatch.setattr(cli, "braid_orbits", lambda *args: calls.append(args) or [])
     code, out, err = _run(capsys, *"hurwitz --group cyclic:160 --n 4 --orbits --mod-conj".split())

@@ -15,7 +15,8 @@ with the Hurwitz layer's per-type count, nielsen_count.
 from __future__ import annotations
 
 import copy
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from math import factorial, prod
 
 import pytest
 
@@ -60,7 +61,21 @@ def test_both_routes_equal_keel_closed_form(group, top):
         assert t1 + t2 - t3 == want, f"recursion, n = {n}"
         # Type by type: every product-one type carries Keel's class, and no
         # other type any class.
-        assert per_type == dict.fromkeys(calc.sweep(n).types, keel_class(n)), f"per type, n = {n}"
+        assert per_type == dict.fromkeys(calc.types(n), keel_class(n)), f"per type, n = {n}"
+
+
+@pytest.mark.parametrize("group, top", CASES, ids=IDS)
+def test_types_count_the_product_one_markings(group, top):
+    # The sweep takes its count of product-one markings, order^(n-1), from
+    # the forced last entry; the types, each weighted by its arrangements,
+    # must count the same.
+    calc = Calculator(group)
+    for n in range(3, top + 1):
+        arrangements = (
+            factorial(n) // prod(factorial(len(list(run))) for _, run in groupby(t))
+            for t in calc.types(n)
+        )
+        assert sum(arrangements) == group.order ** (n - 1), f"n = {n}"
 
 
 @pytest.mark.parametrize("group, top", CASES, ids=IDS)
