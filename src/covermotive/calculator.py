@@ -27,10 +27,10 @@ trees.is_admissible); it is the oracle for both shortcuts.
 
 The recursion works on class types (smodules).  Its open part multiplies
 out every sorted class tuple and, unlike Calculator.types, forces no entry.
-Its tails are the sweep classes of degrees below n, which enter through
-bbar_module, the one crossing between the routes, as one generator per
-product-one type; so each level of the ladder tests the recursion against
-independently computed lower levels.
+Its tails enter through dbar_module, on the open walk's types of degrees
+below n, each carrying the sweep class of its degree: the one crossing
+between the routes, so each level of the ladder tests the recursion
+against independently computed lower levels.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class Calculator:
         """Each product-one type of degree n once, as a sorted class tuple: each
         sorted prefix of n - 1 classes closed by the class of its inverse
         product, kept if that class sorts last.  Not kept between calls: only
-        bbar_module and verify_main_theorem read it, once per degree."""
+        verify_main_theorem reads it; the recursion walks its own (open_module)."""
         prefixes = itertools.combinations_with_replacement(range(self.conj.count), n - 1)
         return [t for t in self._closed(prefixes) if t[-2] <= t[-1]]
 
@@ -201,14 +201,12 @@ class Calculator:
         walk((), identity)
         return SModClass(atoms)
 
-    def bbar_module(self, up_to: int) -> SModClass:
-        """Stratification classes as generators, degrees 3..up_to, by type."""
-        sweeps = [self.sweep(k) for k in range(3, up_to + 1)]
-        return SModClass(Atom(t, (), s.strata) for s in sweeps for t in self.types(s.n))
-
     def dbar_module(self, n: int) -> SModClass:
-        """Rooted tails: degree-k generators from degree-(k+1) classes, k <= n-2."""
-        return shift_root(self.bbar_module(n - 1), self.conj.involution)
+        """Rooted tails, degree k <= n-2: the open walk's types of degree k+1, each
+        carrying the sweep class of its degree, rooted by shift_root at one evaluation."""
+        strata = {k: self.sweep(k).strata for k in range(3, n)}
+        tails = SModClass(a._replace(cls=strata[a.degree]) for a in self.open_module(n - 1).atoms())
+        return shift_root(tails, self.conj.involution)
 
     def _term_atoms(self, n: int) -> tuple[tuple[Atom, ...], tuple[Atom, ...], list[Atom]]:
         """Degree-n atoms of the three recursion terms: slots, edge unit, ordered pairs.
@@ -217,8 +215,8 @@ class Calculator:
         the c-tails are convolved with the iota(c)-tails, one class c at a time.
         """
         dbar = self.dbar_module(n)
-        count = self.conj.count
-        tails = [SModClass(a for a in dbar.atoms() if a.attach == (c,)) for c in range(count)]
+        count, atoms = self.conj.count, dbar.atoms()
+        tails = [SModClass(a for a in atoms if a.attach == (c,)) for c in range(count)]
         pairs = [
             atom
             for c in range(count)

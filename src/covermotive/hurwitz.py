@@ -195,7 +195,8 @@ def nielsen_count(group: FiniteGroup, classes: Sequence[int]) -> int:
     For an abelian group this is 1 when the classes sum to the identity and 0
     otherwise; in general it is a genuine count.  It tries every choice of
     members of all but the last class, and takes no cap.  No command calls it:
-    it is the reference for Calculator.open_module and tests/smodules_oracle.py.
+    it is the reference for tests/smodules_oracle.py and for the walk,
+    Calculator.open_module, that gives the open part and the tails their types.
     """
     if not classes:
         raise ValueError("need at least one class")

@@ -38,11 +38,18 @@ def _calc(group) -> Calculator:
 
 def test_routes_share_no_code():
     # The two routes check each other only while neither reads the other's
-    # code.  The one crossing is bbar_module, which reads the sweep classes of
-    # lower degrees as the recursion's tails.  Neither route reads the Hurwitz
-    # layer: the open part multiplies out its own class tuples.
-    recursion = ("open_module", "bbar_module", "dbar_module", "_term_atoms", "terms")
-    strata = ("topologies", "_closed", "sweep", "per_marking", "class_bbar", "class_bbar_marked")
+    # code.  Every method of Calculator belongs to one route or to the
+    # comparison of the two, so a new method that is in no list fails here.
+    # The one crossing is dbar_module, which reads the sweep classes of lower
+    # degrees as the recursion's tails; their types come from the recursion's
+    # own walk.  Neither route reads the Hurwitz layer: the open part
+    # multiplies out its own class tuples.
+    recursion = ("open_module", "dbar_module", "_term_atoms", "terms")
+    strata = (
+        "topologies", "_closed", "sweep", "types", "per_marking", "class_bbar",
+        "class_bbar_marked", "euler_identity_check",
+    )
+    comparison = ("__init__", "verify_main_theorem", "verify_mainprop")
     module = ast.parse(Path(calculator.__file__).read_text())
     imported: dict[str, set[str]] = {}
     for node in module.body:
@@ -51,6 +58,8 @@ def test_routes_share_no_code():
     assert "hurwitz" not in imported
     cls = next(n for n in module.body if isinstance(n, ast.ClassDef) and n.name == "Calculator")
     methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+    listed = recursion + strata + comparison
+    assert sorted(listed) == sorted(methods), "each method in exactly one list"
 
     def names(method: str) -> set[str]:
         return {n.id for n in ast.walk(methods[method]) if isinstance(n, ast.Name)}
@@ -68,7 +77,7 @@ def test_routes_share_no_code():
     for method in recursion:
         assert not names(method) & imported["trees"], method
         crossing = self_calls(method) & set(strata)
-        assert crossing == ({"sweep"} if method == "bbar_module" else set()), method
+        assert crossing == ({"sweep"} if method == "dbar_module" else set()), method
     for method in strata:
         assert not names(method) & imported["smodules"], method
         assert not self_calls(method) & set(recursion), method
@@ -155,11 +164,29 @@ def test_tails():
     trivial = _calc(build_cyclic(1))
     assert _tail(trivial, 4, 1, 0) == ZERO
     assert _tail(trivial, 4, 2, 0) == ONE
-    # dbar_module(6) roots the classes of bbar_module(5) at one slot, which
-    # moves each degree-(k+1) total to degree k unchanged.
+    # dbar_module(6) roots the degree-(k+1) types at one slot, which moves
+    # their total to degree k unchanged: the sweep's own total at k + 1.
     z3 = _calc(build_cyclic(3))
     for k in (2, 3, 4):
-        assert forget_class(z3.dbar_module(6), k) == forget_class(z3.bbar_module(5), k + 1), k
+        assert forget_class(z3.dbar_module(6), k) == z3.sweep(k + 1).total, k
+
+
+@pytest.mark.parametrize(
+    "group", [build_cyclic(3), build_product_cyclic([2, 2])], ids=["C3", "C2xC2"]
+)
+def test_recursion_reads_no_strata_listing(group, monkeypatch):
+    # The recursion lists its types, tails included, by its own walk, and
+    # reads only the sweep classes from the stratification route.  So with
+    # every listing of that route made to raise, a fresh Calculator computes
+    # the same terms.
+    want = _calc(group).terms(6)
+
+    def listing(*args):
+        raise AssertionError("the recursion read a stratification listing")
+
+    for name in ("types", "_closed", "per_marking", "topologies"):
+        monkeypatch.setattr(Calculator, name, listing)
+    assert Calculator(group).terms(6) == want
 
 
 def test_modules_shape():

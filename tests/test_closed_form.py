@@ -34,11 +34,12 @@ CASES = [
     (build_cyclic(6), 7),
     (build_cyclic(5), 8),
     (build_cyclic(13), 4),
+    (build_cyclic(37), 4),
     # The first abelian groups neither cyclic nor elementary 2-groups.
     (build_product_cyclic([2, 4]), 6),
     (build_product_cyclic([3, 3]), 6),
 ]
-IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5", "C13", "C2xC4", "C3xC3"]
+IDS = ["C1", "C2", "C3", "C2xC2", "C6", "C5", "C13", "C37", "C2xC4", "C3xC3"]
 
 
 def _palindromic(p: MotivePoly) -> bool:
@@ -86,7 +87,7 @@ def test_printed_classes_are_palindromic(group, top):
         assert _palindromic(calc.sweep(n).strata), f"per marking, n = {n}"
 
 
-@pytest.mark.parametrize("group, top", [*CASES, (build_cyclic(37), 3)], ids=[*IDS, "C37"])
+@pytest.mark.parametrize("group, top", CASES, ids=IDS)
 def test_open_part_is_the_product_one_types(group, top):
     # The walk multiplies out each sorted class tuple and forces no entry.  So
     # it runs on a copy of the group with neither inverses nor a class map:
