@@ -308,9 +308,9 @@ def cmd_hurwitz(args) -> int:
     group = _load_group(args)
     order, n = group.order, args.n
     # Work: order^(n-1) tuples of length n.  With --orbits, with or without
-    # --mod-conj, that times 2(n-1), an upper bound: the closure moves each
-    # m-tuple of each level m <= n - 1 by one lookup and each top block by one
-    # more, and decodes a tuple once per orbit and per --mod-conj class counted.
+    # --mod-conj, that times 2(n-1), an upper bound: the closure makes one
+    # lookup per part of a block, at most order^m at level m <= n - 1, and one
+    # per top block, and decodes a tuple once per orbit and per class counted.
     factor, count = n, f"{order}^{n - 1} tuples of length {n}"
     if args.orbits:
         factor *= 2 * (n - 1)

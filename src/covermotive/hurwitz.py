@@ -10,36 +10,39 @@ digits they are its index, a bijection onto range(order^(n-1)) in
 lexicographic order.  Each sigma_i permutes the finite set of tuples, so the
 closure of a tuple under the forward moves is its whole orbit.
 
-The closure is built level by level.  At level m, m = 0..n - 2, every
-m-tuple of any product has an index p of m digits; ids[p] numbers its orbit
-under sigma_1..sigma_{m-1}, members[o] lists orbit o's indices, least first,
-and prods[o] is their common product.  A block (o, r), of index o order + r,
-pairs orbit o with one more digit r; its tuples p order + r form one orbit of
-sigma_1..sigma_{m-1} on (m + 1)-tuples, so level m + 1 closes the blocks
-under sigma_m alone.  With rows[h][g] = h g h^{-1}, sigma_m sends the last
-digit a of p and r to (c, a), c = rows[a][r]: the tuple goes to block
-(ids[p + c - a], a), one lookup in a list of order^2 steps per tuple.  At
-the top level, m = n - 2, the last entry b = (P r)^{-1}, P = prods[o], is
-forced, so the blocks hold the product-one tuples.  sigma_{n-2} is still one
-lookup per tuple.  sigma_{n-1} keeps the prefix and sends r to
-r b r^{-1} = (r P)^{-1} for the whole block: one lookup per block.  (Reading
-P r there would give sigma_{n-1}^{-1}, whose orbits are the same.)  Orbits
-are numbered in order of their least member, so a block's least tuple,
-members[o][0] order + r, grows with its index: blocks scanned in index order
-each start an orbit at its least member, and the top orbits come out sorted.
-The closure holds order^m ids and member indices at each level m <= n - 2
-and one byte per top block; a tuple's entries are decoded only to report
-its orbit's least member.
+The closure is built level by level.  Level m, m = 0..n - 2, holds the orbits
+of m-tuples of any product under sigma_1..sigma_{m-1}, level 0 the empty
+tuple.  A block (o, r), of index o order + r, pairs orbit o with one more
+digit r; its tuples form one orbit of sigma_1..sigma_{m-1}, so level m + 1
+closes the blocks under sigma_m alone.  Each orbit is the union of its parts,
+the blocks it closed, and ids numbers the orbit of each block.  With
+rows[h][g] = h g h^{-1}, sigma_m sends the last digit a of an m-tuple and r
+to (c, a), c = rows[a][r].  The tuples of a part d = o' order + a of o end in
+a and their prefixes form orbit o', so c in place of a sends them all into
+block (o', c), of orbit ids[d + c - a]: block (o, r) moves the part to block
+(ids[d + c - a], a) by one lookup in a list of order^2 steps.  The top level,
+n - 1, closes the blocks over level n - 2 with the last entry
+b = (P r)^{-1}, P = prods[o], forced: the product-one tuples.  There
+sigma_{n-1} keeps the prefix and sends r to r b r^{-1} = (r P)^{-1} for the
+whole block, one more lookup.  (Reading P r would give sigma_{n-1}^{-1}, whose
+orbits are the same.)  Orbits are numbered in order of their least member,
+so a block's least tuple, least[o] order + r, grows with its index: blocks
+scanned in index order each start an orbit at its least member, and the top
+orbits come out sorted.  Below the top a level holds its orbits' parts,
+least indices, sizes and products, and the ids of the blocks one level
+down; the top holds a least index and a size per orbit and a byte per
+block, and its ids only for mod conjugation.  A tuple's entries are decoded
+only to report its orbit's least member.
 
 Mod conjugation: conjugation commutes with every braid move, so the
 stabiliser of a tuple among the inner automorphisms is the same all along
 its braid orbit O.  The class U, the union of the orbits hO, then holds
 |O| |Inn| / S tuples in classes of |Inn| / s each, |O| s / S classes, where s
 maps fix O's least member and S maps send O to itself.  S is read by
-conjugating the least member with each map but the identity and looking
-its block up in an array of top orbit ids; the other orbits hO merge into
-O, the first and least of them.  An abelian group has no such map and
-builds no array.
+conjugating the least member with each map but the identity and walking the
+ids up from its first digit, a level-1 orbit, to its top orbit; the other
+orbits hO merge into O, the first and least of them.  An abelian group has
+no such map and keeps no ids past their level.
 """
 
 from __future__ import annotations
@@ -70,16 +73,17 @@ def enumerate_hurwitz(group: FiniteGroup, n: int) -> list[tuple[int, ...]]:
 
 
 def _block_orbits(
-    order: int, ids: array | None, members: list[list[int]], step: list[int],
-    last: list[int] | None = None, prods: list[int] | None = None,
+    order: int, ids: array | None, parts: list[list[int]], step: list[int],
+    last: list[int] | None, prods: list[int],
 ) -> Iterator[list[int]]:
     """Yield each orbit of the blocks over a level, as its block indices, start first.
 
-    A block o order + r is a level orbit o with one more digit r.  ids is None
-    at level 0, which has no braid move; with last and prods the blocks are
-    the top ones, also moved by sigma_{n-1}.  Starts come in increasing order.
+    A block o order + r is a level orbit o with one more digit r, and moves
+    by one lookup per part of o.  ids is None at level 0, which has no braid
+    move; with last the blocks are the top ones, also moved by sigma_{n-1}.
+    Starts come in increasing order.
     """
-    seen = bytearray(len(members) * order)
+    seen = bytearray(len(parts) * order)
     for start in range(len(seen)):
         if seen[start]:
             continue
@@ -90,9 +94,9 @@ def _block_orbits(
             blocks.append(b)
             o, r = divmod(b, order)
             if ids is not None:
-                for p in members[o]:
-                    a = p % order
-                    c = ids[p + step[a * order + r]] * order + a
+                for d in parts[o]:
+                    a = d % order
+                    c = ids[d + step[a * order + r]] * order + a
                     if not seen[c]:
                         seen[c] = 1
                         stack.append(c)
@@ -110,48 +114,44 @@ def braid_orbits(
     """The braid orbits of the product-one n-tuples as (least member, size), sorted.
 
     With mod_conjugation the size counts conjugation classes of tuples,
-    |O| s / S for the braid orbit O of the least member.  The closure holds
-    order^m ids and member indices at each level m <= n - 2 and one byte per
-    top block, which the command line bounds.
+    |O| s / S for the braid orbit O of the least member.  One level loop
+    closes the levels and, in its last pass, the top; the command line bounds
+    its lookups.  It holds no tuple and no orbit's member list.
     """
     if n < 1:
         raise ValueError(f"need at least one entry, got {n}")
-    if n == 1:
-        return [((group.identity,), 1)]
     order, table, inverse = group.order, group.table, group.inverse
     rows = [tuple(table[table[h][g]][inverse[h]] for g in range(order)) for h in range(order)]
     # step[a order + r]: sigma_m's change to a prefix ending in a, c - a.
     step = [rows[a][r] - a for a in range(order) for r in range(order)]
     # last[r order + P]: the digit (r P)^{-1} that sigma_{n-1} puts in place of r.
     last = [inverse[p] for r in range(order) for p in table[r]]
-    # Level 0 is the empty tuple; each pass builds level m + 1 from level m.
-    ids, members, prods = array("i", [0]), [[0]], [group.identity]
-    for m in range(n - 2):
-        next_ids = array("i", bytes(4 * order ** (m + 1)))
-        next_members, next_prods = [], []
-        for blocks in _block_orbits(order, ids if m else None, members, step):
-            mem = [p * order + b % order for b in blocks for p in members[b // order]]
-            for y in mem:
-                next_ids[y] = len(next_members)
-            next_members.append(mem)
-            o, r = divmod(blocks[0], order)
-            next_prods.append(table[prods[o]][r])
-        ids, members, prods = next_ids, next_members, next_prods
     # The conjugation maps but the identity's, which is every central element's.
     maps = []
     if mod_conjugation:
         maps = [row for row in dict.fromkeys(rows) if row != rows[group.identity]]
-    # where[block]: its top orbit's number, read only to find conjugate orbits.
-    where = array("i", bytes(4 * len(members) * order)) if maps else None
-    leasts, sizes = array("q"), array("q")
-    top = _block_orbits(order, ids if n > 2 else None, members, step, last, prods)
-    for k, blocks in enumerate(top):
-        o, r = divmod(blocks[0], order)
-        leasts.append(members[o][0] * order + r)
-        sizes.append(sum(len(members[b // order]) for b in blocks))
-        if maps:
-            for b in blocks:
-                where[b] = k
+    # A level-1 orbit is its digit, so a conjugate walks up the ids from there,
+    # or from level 0 when level 1 is the top; chain keeps the ids it reads.
+    first, chain = int(n > 2), []
+    # Level 0 is the empty tuple; pass m builds level m + 1, and its last pass the top.
+    ids, parts, least, sizes, prods = None, [[0]], [0], [1], [group.identity]
+    for m in range(n - 1):
+        top = m == n - 2
+        next_ids = array("i", bytes(4 * len(parts) * order)) if maps or not top else None
+        next_parts, next_least, next_sizes, next_prods = [], array("q"), array("q"), []
+        for blocks in _block_orbits(order, ids, parts, step, last if top else None, prods):
+            o, r = divmod(blocks[0], order)
+            if next_ids is not None:
+                for b in blocks:
+                    next_ids[b] = len(next_sizes)
+            next_least.append(least[o] * order + r)
+            next_sizes.append(sum(sizes[b // order] for b in blocks))
+            if not top:
+                next_parts.append(blocks)
+                next_prods.append(table[prods[o]][r])
+        ids, parts, least, sizes, prods = next_ids, next_parts, next_least, next_sizes, next_prods
+        if maps and m >= first:
+            chain.append(ids)
 
     def vector(x: int) -> list[int]:
         v = []
@@ -166,23 +166,22 @@ def braid_orbits(
         return v
 
     if not maps:
-        return [(tuple(vector(x)), size) for x, size in zip(leasts, sizes)]
+        return [(tuple(vector(x)), size) for x, size in zip(least, sizes)]
     orbits = []
     merged = bytearray(len(sizes))
-    for k, (x, size) in enumerate(zip(leasts, sizes)):
+    for k, (x, size) in enumerate(zip(least, sizes)):
         if merged[k]:
             continue
         v = vector(x)
+        digits = v[first:-1]
         fixed = kept = 1  # the identity map
         for row in maps:
-            w = [row[g] for g in v]
-            q = 0
-            for g in w[:-2]:
-                q = q * order + g
-            j = where[ids[q] * order + w[-2]]
+            j = row[v[0]] if first else 0
+            for level, g in zip(chain, digits):
+                j = level[j * order + row[g]]
             if j == k:
                 kept += 1
-                fixed += w == v
+                fixed += [row[g] for g in v] == v
             else:
                 merged[j] = 1
         orbits.append((tuple(v), size * fixed // kept))

@@ -204,13 +204,18 @@ def test_orbits_are_single_orbits_of_the_public_move():
 
 @pytest.mark.parametrize(
     "group, n",
-    [(build_symmetric(3), 5), (build_dihedral(4), 5), (build_dihedral(5), 5), (build_cyclic(6), 5)],
-    ids=["S3", "D4", "D5", "C6"],
+    [
+        (build_symmetric(3), 5), (build_dihedral(4), 5), (build_dihedral(5), 5), (build_cyclic(6), 5),
+        (build_symmetric(3), 6), (build_dihedral(4), 6),
+    ],
+    ids=["S3", "D4", "D5", "C6", "S3-6", "D4-6"],
 )
 @pytest.mark.parametrize("mod", [False, True], ids=["plain", "mod-conj"])
 def test_orbits_match_two_sided_reference(group, n, mod):
     # The reference closes under sigma_i and sigma_i^{-1}, built one product
-    # at a time, and canonicalizes by the slow oracle.
+    # at a time, and canonicalizes by the slow oracle.  n = 6 is the first
+    # degree where a level below the top moves parts that hold several
+    # tuples, and where a conjugate walks the ids of four levels.
     reference = reference_orbits(group, enumerate_hurwitz(group, n), mod)
     assert braid_orbits(group, n, mod) == [(o[0], len(o)) for o in reference]
 
@@ -272,22 +277,23 @@ def test_abelian_orbits_ignore_conjugation():
 
 
 def test_orbits_hold_no_tuple_list():
-    # The closure holds the ids and member indices of the levels below the
-    # top, a byte per top block, one orbit's stack of blocks and a least
-    # index and size per orbit; mod conjugation adds an id per top block.
-    # That read 0.05 MiB of traced peak for these 10^4 tuples in both modes;
-    # listing the tuples and closing over sets of them peaked at 2.2 MiB.
-    # n = 6 shows the same (0.48 MiB in both modes, against 22.4 MiB) but
-    # runs ten times longer under tracemalloc.
+    # Below the top the closure holds, per level, each orbit's parts, least
+    # index, size and product and an id per block one level down; the top
+    # holds a least index and size per orbit, a byte per block and one
+    # orbit's stack, and mod conjugation keeps the ids.  That read 0.03 and
+    # 0.07 MiB of traced peak for these 10^4 and 10^5 tuples, in both
+    # modes.  Listing the tuples and closing over sets of them peaked at 2.2
+    # and 22.4 MiB, and an id and a member index per m-tuple at 0.05 and
+    # 0.48 MiB, which the bound refuses at n = 6.
     group = build_dihedral(5)
-    for mod in (False, True):
+    for n, mod in itertools.product((5, 6), (False, True)):
         tracemalloc.start()
         try:
-            braid_orbits(group, 5, mod)
+            braid_orbits(group, n, mod)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20 * 4 // 10, mod
+        assert peak < 2**20 // 5, (n, mod)
 
 
 @pytest.mark.parametrize(
